@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="proxystream benchmark")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--write-reference", action="store_true",
                         help="store this seed's outputs as the reference")
