@@ -15,7 +15,6 @@ import numpy as np
 from proxystream.encoding import (
     encode_journeys,
     journey_row_names,
-    linear_fit,
     linear_fit_batch,
     standardize_columns,
 )
@@ -54,12 +53,12 @@ print(f"\nmodel feature width: {flat.shape[1]} = {len(rows)} rows x {tau} weeks"
 # intercept and residual. Three numbers per row capture level, trend and
 # noisiness without growing with tau.
 
-fit = linear_fit(journeys[0])
+slope, intercept, residual = np.split(linear_fit_batch(journeys[0])[0], 3)
 print("\nshopper 0 line fits (slope, intercept, residual):")
 for index, name in enumerate(rows[:6]):
     print(f"  {name:<{name_width}} "
-          f"({fit.slope[index]:+.3f}, {fit.intercept[index]:.3f}, "
-          f"{fit.residual[index]:.3f})")
+          f"({slope[index]:+.3f}, {intercept[index]:.3f}, "
+          f"{residual[index]:.3f})")
 
 ###############################################################################
 # For a whole batch the fits stack into an (entities x 3 rows) matrix which

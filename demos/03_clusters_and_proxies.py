@@ -15,8 +15,8 @@ import numpy as np
 from proxystream.clustering import (
     cluster_count,
     k_medoids,
-    make_proxies,
     mean_medoid_gap,
+    proxy_matrices,
 )
 from proxystream.encoding import encode_journeys, linear_fit_batch, standardize_columns
 from proxystream.synthetic import archetype_shopper_spec, generate_shopper_stream
@@ -57,18 +57,17 @@ print(f"\nrho=32 cluster purity (dominant archetype share): "
       f"{np.round(purities, 2)}")
 
 ###############################################################################
-# Proxies are exact means. `make_proxies` averages model features and
+# Proxies are exact means. `proxy_matrices` averages model features and
 # outcomes per cluster; checking one cluster by hand shows the identity.
 
 weekly_spend = model_x[:, 3 * 3]  # the total_value_sum row, first week column
-proxies = make_proxies(part, model_x, weekly_spend)
-first = proxies[0]
-members = part.cluster_members(first.cluster_index)
+cluster_ids, proxy_x, proxy_y, counts = proxy_matrices(part, model_x, weekly_spend)
+members = part.cluster_members(int(cluster_ids[0]))
 by_hand = model_x[members].mean(axis=0)
-print(f"\nproxy 0 averages {first.member_count} members; "
+print(f"\nproxy 0 averages {int(counts[0])} members; "
       f"max |proxy - hand mean| = "
-      f"{np.abs(first.features - by_hand).max():.2e}")
-print(f"proxy outcome {first.outcome:.3f} vs "
+      f"{np.abs(proxy_x[0] - by_hand).max():.2e}")
+print(f"proxy outcome {proxy_y[0]:.3f} vs "
       f"hand mean {weekly_spend[members].mean():.3f}")
 
 ###############################################################################

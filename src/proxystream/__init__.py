@@ -13,28 +13,21 @@ __version__ = "0.1.0"
 from .clustering import (
     DistanceSpec,
     Partition,
-    ProxyEntity,
     binned_spec,
     cluster_count,
     cross_distances,
-    distance,
     euclidean_spec,
     gower_spec,
     k_medoids,
-    make_proxies,
     mean_medoid_gap,
     proxy_matrices,
     random_partition,
 )
 from .encoding import (
     InvoiceEncoding,
-    LinearFit,
-    encode_invoice,
-    encode_journey,
     encode_journeys,
     invoice_encoding,
     journey_row_names,
-    linear_fit,
     linear_fit_batch,
     standardize_columns,
     weekly_spend,
@@ -45,7 +38,6 @@ from .events import (
     EventStore,
     SchemaError,
     TimeWindow,
-    activity_frequencies,
 )
 from .filtering import (
     INVOICE_ATTRIBUTES,

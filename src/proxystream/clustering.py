@@ -14,17 +14,20 @@ the RNG.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 EUCLIDEAN = "euclidean"
 BINNED = "binned_euclidean"
 GOWER = "gower"
 _KINDS = (EUCLIDEAN, BINNED, GOWER)
 
-# cap on g * s * s elements in one batched medoid-update tensor
+# cap on the elements of one medoid-update distance tensor
 _BATCH_LIMIT = 30_000_000
 
 
@@ -34,8 +37,8 @@ class DistanceSpec:
 
     Gower needs per-column numeric ranges and a categorical mask; the binned
     kind needs per-column bin edges. Batch-dependent statistics may be left
-    unset, in which case :func:`k_medoids` derives them from the batch being
-    clustered; the pairwise :func:`distance` requires them up front.
+    unset, in which case :func:`k_medoids` and :func:`cross_distances` derive
+    them from the rows they are given.
     """
 
     kind: str = EUCLIDEAN
@@ -119,12 +122,6 @@ class _EuclideanHandler:
         self.points = np.ascontiguousarray(points, dtype=float)
         self.norms = np.einsum("ij,ij->i", self.points, self.points)
 
-    def cross_sq(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        a, b = self.points[rows], self.points[cols]
-        sq = self.norms[rows][:, None] + self.norms[cols][None, :] - 2.0 * (a @ b.T)
-        np.maximum(sq, 0.0, out=sq)
-        return sq
-
     def assign_values(self, medoids: np.ndarray) -> np.ndarray:
         sq = self.points @ self.points[medoids].T
         sq *= -2.0
@@ -138,39 +135,17 @@ class _EuclideanHandler:
         return np.sqrt(values)
 
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.cross_sq(rows, cols))
+        """True distances between index sets, broadcast over leading axes.
 
-    def medoid_update(self, assignment: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
-        order = np.argsort(assignment, kind="stable")
-        sizes = np.bincount(assignment, minlength=k)
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        new = np.empty(k, dtype=np.int64)
-        for s in np.unique(sizes):
-            clusters = np.nonzero(sizes == s)[0]
-            if s == 0:
-                raise ValueError("empty cluster in medoid update")
-            if len(clusters) * s * s <= _BATCH_LIMIT:
-                members = np.stack([order[bounds[c]:bounds[c + 1]] for c in clusters])
-                p = self.points[members]
-                n2 = self.norms[members]
-                sq = n2[:, :, None] + n2[:, None, :] - 2.0 * (p @ p.transpose(0, 2, 1))
-                np.maximum(sq, 0.0, out=sq)
-                sums = np.einsum("gij,gj->gi", np.sqrt(sq), weights[members])
-                new[clusters] = members[np.arange(len(clusters)), np.argmin(sums, axis=1)]
-            else:
-                for c in clusters:
-                    members = order[bounds[c]:bounds[c + 1]]
-                    new[c] = self._medoid_chunked(members, weights)
-        return new
-
-    def _medoid_chunked(self, members: np.ndarray, weights: np.ndarray,
-                        chunk: int = 1024) -> np.int64:
-        w = weights[members]
-        sums = np.empty(len(members))
-        for start in range(0, len(members), chunk):
-            block = members[start:start + chunk]
-            sums[start:start + chunk] = self.cross(block, members) @ w
-        return members[int(np.argmin(sums))]
+        When ``cols is rows`` both matmul operands are one array, so BLAS
+        takes its symmetric path and d(i, j) == d(j, i) bit for bit.
+        """
+        a = self.points[rows]
+        b = a if cols is rows else self.points[cols]
+        sq = (self.norms[rows][..., :, None] + self.norms[cols][..., None, :]
+              - 2.0 * (a @ np.swapaxes(b, -1, -2)))
+        np.maximum(sq, 0.0, out=sq)
+        return np.sqrt(sq)
 
 
 class _GowerHandler:
@@ -191,12 +166,13 @@ class _GowerHandler:
         self.denom = max(len(self.cat_cols) + len(self.num_cols), 1)
 
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances between index sets, broadcast over leading axes."""
         a, b = self.points[rows], self.points[cols]
-        out = np.zeros((len(rows), len(cols)))
+        out = np.zeros((*a.shape[:-1], b.shape[-2]))
         for col, rng in zip(self.num_cols, self.num_ranges):
-            out += np.abs(a[:, col, None] - b[None, :, col]) / rng
+            out += np.abs(a[..., col, None] - b[..., None, :, col]) / rng
         for col in self.cat_cols:
-            out += a[:, col, None] != b[None, :, col]
+            out += a[..., col, None] != b[..., None, :, col]
         out /= self.denom
         return out
 
@@ -207,18 +183,33 @@ class _GowerHandler:
     def finalize(values: np.ndarray) -> np.ndarray:
         return values
 
-    def medoid_update(self, assignment: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
-        order = np.argsort(assignment, kind="stable")
-        sizes = np.bincount(assignment, minlength=k)
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        new = np.empty(k, dtype=np.int64)
-        for c in range(k):
-            members = order[bounds[c]:bounds[c + 1]]
-            if members.size == 0:
-                raise ValueError("empty cluster in medoid update")
-            sums = self.cross(members, members) @ weights[members]
-            new[c] = members[int(np.argmin(sums))]
-        return new
+
+def _medoid_update(handler, assignment: np.ndarray, k: int,
+                   weights: np.ndarray) -> np.ndarray:
+    """Move each medoid to the member with the least weighted distance sum.
+
+    Clusters of equal size s are stacked into one (g, s, s) distance tensor;
+    a group past ``_BATCH_LIMIT`` elements is evaluated in row chunks. The
+    stacked matmul gives each cluster the same sums as its own gemv. Ties go
+    to the lowest member index.
+    """
+    order = np.argsort(assignment, kind="stable")
+    sizes = np.bincount(assignment, minlength=k)
+    if (sizes == 0).any():
+        raise ValueError("empty cluster in medoid update")
+    starts = np.cumsum(sizes) - sizes
+    new = np.empty(k, dtype=np.int64)
+    for s in np.unique(sizes):
+        clusters = np.nonzero(sizes == s)[0]
+        members = order[starts[clusters][:, None] + np.arange(s)]
+        w = weights[members][..., None]
+        chunk = max(1, _BATCH_LIMIT // (len(clusters) * s))
+        blocks = [members] if chunk >= s else [
+            members[:, i:i + chunk] for i in range(0, s, chunk)]
+        sums = np.concatenate(
+            [(handler.cross(rows, members) @ w)[..., 0] for rows in blocks], axis=1)
+        new[clusters] = members[np.arange(len(clusters)), np.argmin(sums, axis=1)]
+    return new
 
 
 def _handler(points: np.ndarray, spec: DistanceSpec):
@@ -229,31 +220,6 @@ def _handler(points: np.ndarray, spec: DistanceSpec):
             raise ValueError("gower handler needs numeric ranges")
         return _GowerHandler(points, mask, np.asarray(ranges, dtype=float))
     return _EuclideanHandler(points)
-
-
-def distance(x: np.ndarray, y: np.ndarray, spec: DistanceSpec | None = None) -> float:
-    """Pairwise distance under ``spec`` (Euclidean by default).
-
-    Gower and binned kinds need their batch statistics present on the spec;
-    build one with :meth:`DistanceSpec.for_batch` or pass explicit ranges.
-    """
-    spec = spec or euclidean_spec()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("distance expects two equal-length vectors")
-    if spec.kind == BINNED:
-        if spec.bin_lo is None or spec.bin_hi is None:
-            raise ValueError("binned distance needs bin edges; use for_batch")
-        x = bin_centers(x, spec.bin_lo, spec.bin_hi, spec.n_bins)
-        y = bin_centers(y, spec.bin_lo, spec.bin_hi, spec.n_bins)
-        return float(np.linalg.norm(x - y))
-    if spec.kind == GOWER:
-        if spec.numeric_ranges is None:
-            raise ValueError("gower distance needs numeric ranges; use for_batch")
-        handler = _handler(np.stack([x, y]), spec)
-        return float(handler.cross(np.array([0]), np.array([1]))[0, 0])
-    return float(np.linalg.norm(x - y))
 
 
 def cross_distances(x: np.ndarray, y: np.ndarray, spec: DistanceSpec | None = None) -> np.ndarray:
@@ -271,8 +237,7 @@ def cross_distances(x: np.ndarray, y: np.ndarray, spec: DistanceSpec | None = No
     handler = _handler(stacked, spec)
     rows = np.arange(len(x))
     cols = np.arange(len(x), len(stacked))
-    values = handler.cross(rows, cols)
-    return values
+    return handler.cross(rows, cols)
 
 
 # -- partitions ------------------------------------------------------------
@@ -429,7 +394,7 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
     handler = _handler(points, spec)
 
     if k == 1:
-        medoids = handler.medoid_update(np.zeros(n, dtype=np.int64), 1, weights)
+        medoids = _medoid_update(handler, np.zeros(n, dtype=np.int64), 1, weights)
         mind = handler.finalize(handler.assign_values(medoids)[:, 0])
         mind[medoids[0]] = 0.0
         return Partition(n, 1, np.zeros(n, dtype=np.int64), medoids,
@@ -446,11 +411,13 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
     for _ in range(max_iter):
         assignment, cost = _assign(handler, medoids, weights, k)
         history.append(cost)
-        new = handler.medoid_update(assignment, k, weights)
+        new = _medoid_update(handler, assignment, k, weights)
         if np.array_equal(new, medoids):
             break
         medoids = new
     else:
+        logger.warning("k-medoids reached max_iter=%d without a stable medoid set "
+                       "(n=%d, k=%d)", max_iter, n, k)
         assignment, cost = _assign(handler, medoids, weights, k)
         history.append(cost)
     return Partition(n, k, assignment, medoids, history)
@@ -467,16 +434,6 @@ def _assign(handler, medoids: np.ndarray, weights: np.ndarray, k: int):
 
 
 # -- proxies ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProxyEntity:
-    """One cluster averaged into a standalone training/prediction row."""
-
-    cluster_index: int
-    member_count: int
-    features: np.ndarray
-    outcome: float | None = None
-
 
 def proxy_matrices(partition: Partition, features: np.ndarray,
                    outcomes: np.ndarray | None = None):
@@ -504,21 +461,6 @@ def proxy_matrices(partition: Partition, features: np.ndarray,
         np.add.at(osums, partition.assignment, outcomes)
         proxy_outcomes = osums[cluster_ids] / counts
     return cluster_ids, proxy_features, proxy_outcomes, counts
-
-
-def make_proxies(partition: Partition, features: np.ndarray,
-                 outcomes: np.ndarray | None = None) -> list[ProxyEntity]:
-    """Proxy entities ordered by cluster index; see :func:`proxy_matrices`."""
-    cluster_ids, px, py, counts = proxy_matrices(partition, features, outcomes)
-    return [
-        ProxyEntity(
-            cluster_index=int(c),
-            member_count=int(counts[i]),
-            features=px[i],
-            outcome=None if py is None else float(py[i]),
-        )
-        for i, c in enumerate(cluster_ids)
-    ]
 
 
 def mean_medoid_gap(n: int, d: int, samples: int = 1000, seed: int = 0) -> float:

@@ -8,7 +8,7 @@ with a one-hot view for averaging and a mixed view for Gower distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,13 +92,6 @@ def encode_journeys(store: EventStore, entity_codes: np.ndarray,
     return out
 
 
-def encode_journey(store: EventStore, entity_id: Any,
-                   window_end: float, n_weeks: int) -> np.ndarray:
-    """Single-entity journey matrix (F, n_weeks); see :func:`encode_journeys`."""
-    code = store.entity_code(entity_id)
-    return encode_journeys(store, np.array([code]), window_end, n_weeks)[0]
-
-
 def weekly_spend(store: EventStore, entity_codes: np.ndarray,
                  start: float, end: float) -> np.ndarray:
     """Sum of total_value per selected entity over [start, end)."""
@@ -112,22 +105,6 @@ def weekly_spend(store: EventStore, entity_codes: np.ndarray,
 
 
 # -- linear-fit summaries --------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearFit:
-    """Per-row least-squares line over week indices 0..n_weeks-1.
-
-    ``residual`` is the root mean squared residual of the fit, an RMSE over
-    the window columns.
-    """
-
-    slope: np.ndarray
-    intercept: np.ndarray
-    residual: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.slope, self.intercept, self.residual])
-
 
 def linear_fit_batch(matrices: np.ndarray) -> np.ndarray:
     """Fit each row of each matrix; returns (m, 3F) as [slopes|intercepts|residuals]."""
@@ -146,18 +123,6 @@ def linear_fit_batch(matrices: np.ndarray) -> np.ndarray:
     fitted = slope[..., None] * x + intercept[..., None]
     residual = np.sqrt(((matrices - fitted) ** 2).mean(axis=2))
     return np.concatenate([slope, intercept, residual], axis=1)
-
-
-def linear_fit(matrix: np.ndarray) -> LinearFit:
-    """Single-matrix variant of :func:`linear_fit_batch`."""
-    matrix = np.asarray(matrix, dtype=float)
-    n_rows = matrix.shape[0]
-    flat = linear_fit_batch(matrix[None])[0]
-    return LinearFit(
-        slope=flat[:n_rows],
-        intercept=flat[n_rows:2 * n_rows],
-        residual=flat[2 * n_rows:],
-    )
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:
@@ -245,21 +210,3 @@ def invoice_encoding(store: EventStore, entity_codes: np.ndarray,
             onehot[:, offset] = col
             offset += 1
     return InvoiceEncoding(mixed=mixed, onehot=onehot, categorical_mask=cat_mask)
-
-
-def encode_invoice(store: EventStore, entity_id: Any) -> tuple[np.ndarray, dict[str, Any]]:
-    """Single-entity invoice features: (label frequency vector, attribute dict).
-
-    Raises ValueError for an entity without a creation event.
-    """
-    code = store.entity_code(entity_id)
-    creation = label_times(store, VCI_LABEL)
-    if not np.isfinite(creation[code]):
-        raise ValueError(f"entity {entity_id!r} has no {VCI_LABEL!r} event")
-    enc = invoice_encoding(store, np.array([code]), creation_times=creation)
-    n_labels = len(store.alphabet)
-    attrs = {
-        f.name: f.decode(store.entity_attribute(f.name)[code])
-        for f in store.entity_schema
-    }
-    return enc.mixed[0, :n_labels], attrs

@@ -337,41 +337,21 @@ class EventStore:
         hi = int(np.searchsorted(self._times, window.end, side="left"))
         return lo, hi
 
-    def window_slice(self, window: TimeWindow) -> list[Event]:
-        lo, hi = self.window_bounds(window)
-        return [self.event_at(row) for row in range(lo, hi)]
-
-    def entity_slice(self, window: TimeWindow, entity_id: Any) -> list[Event]:
-        code = self.entity_code(entity_id)
-        lo, hi = self.window_bounds(window)
-        rows = np.nonzero(self._ent_codes[lo:hi] == code)[0] + lo
-        return [self.event_at(int(row)) for row in rows]
-
     def entities_in_window(self, window: TimeWindow) -> np.ndarray:
         """Sorted entity codes of entities with at least one event in window."""
         lo, hi = self.window_bounds(window)
         return np.unique(self._ent_codes[lo:hi])
 
 
-def activity_frequencies(events: Sequence[Event], alphabet: Sequence[str]) -> np.ndarray:
-    """Relative frequency of each alphabet label among ``events``.
-
-    Components sum to 1 for non-empty input; the empty sequence maps to the
-    all-zeros vector (no renormalisation of nothing).
-    """
-    index = {a: i for i, a in enumerate(alphabet)}
-    counts = np.zeros(len(alphabet))
-    for e in events:
-        try:
-            counts[index[e.activity]] += 1.0
-        except KeyError:
-            raise SchemaError(f"activity {e.activity!r} not in alphabet") from None
-    total = counts.sum()
-    return counts / total if total else counts
-
-
 def frequencies_from_codes(codes: np.ndarray, n_labels: int) -> np.ndarray:
-    """Array variant of :func:`activity_frequencies` over activity codes."""
+    """Relative frequency of each of ``n_labels`` activity codes.
+
+    Components sum to 1 for non-empty input; no codes map to the all-zeros
+    vector. A code outside [0, n_labels) raises :class:`SchemaError`.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() >= n_labels):
+        raise SchemaError(f"activity code out of range for {n_labels} labels")
     counts = np.bincount(codes, minlength=n_labels).astype(float)
     total = counts.sum()
     return counts / total if total else counts

@@ -84,12 +84,17 @@ class PredictionRecord:
 
 
 class EvaluationLedger:
-    """Pending and resolved predictions, indexed for both resolution modes."""
+    """Pending and resolved predictions, indexed for both resolution modes.
+
+    Open rows sit in insertion-ordered dict buckets keyed by step and by
+    entity code, so a row resolved through one index leaves the other in
+    O(1).
+    """
 
     def __init__(self) -> None:
         self.records: list[PredictionRecord] = []
-        self._open_by_step: dict[int, list[int]] = {}
-        self._open_by_code: dict[int, list[int]] = {}
+        self._open_by_step: dict[int, dict[int, None]] = {}
+        self._open_by_code: dict[int, dict[int, None]] = {}
 
     def add_predictions(self, step: int, codes: np.ndarray, ids: list,
                         clusters: np.ndarray, sizes: np.ndarray,
@@ -106,11 +111,11 @@ class EvaluationLedger:
                 predicted=float(predicted[i]),
                 previous=None if previous is None else float(previous[i]),
             ))
-        rows = list(range(start, len(self.records)))
-        self._open_by_step.setdefault(step, []).extend(rows)
+        rows = range(start, len(self.records))
+        self._open_by_step.setdefault(step, {}).update(dict.fromkeys(rows))
         for row in rows:
             code = self.records[row].entity_code
-            self._open_by_code.setdefault(code, []).append(row)
+            self._open_by_code.setdefault(code, {})[row] = None
 
     def _close(self, rows: list[int], truths: np.ndarray) -> None:
         for row, value in zip(rows, truths):
@@ -119,14 +124,12 @@ class EvaluationLedger:
     def resolve_step(self, step: int,
                      truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
         """Resolve all pending predictions made at ``step``."""
-        rows = self._open_by_step.pop(step, [])
+        rows = list(self._open_by_step.pop(step, ()))
         if rows:
             codes = np.array([self.records[r].entity_code for r in rows], dtype=np.int64)
             self._close(rows, truth_fn(codes))
             for r in rows:
-                bucket = self._open_by_code.get(self.records[r].entity_code)
-                if bucket is not None:
-                    bucket.remove(r)
+                del self._open_by_code[self.records[r].entity_code][r]
         return len(rows)
 
     def resolve_entities(self, codes: np.ndarray,
@@ -134,14 +137,12 @@ class EvaluationLedger:
         """Resolve pending predictions for the given entity codes."""
         rows: list[int] = []
         for code in codes:
-            rows.extend(self._open_by_code.pop(int(code), []))
+            rows.extend(self._open_by_code.pop(int(code), ()))
         if rows:
             row_codes = np.array([self.records[r].entity_code for r in rows], dtype=np.int64)
             self._close(rows, truth_fn(row_codes))
             for r in rows:
-                bucket = self._open_by_step.get(self.records[r].step)
-                if bucket is not None:
-                    bucket.remove(r)
+                del self._open_by_step[self.records[r].step][r]
         return len(rows)
 
     @property

@@ -1,24 +1,25 @@
 """Cluster sizing, distances, k-medoids, random partitions, proxies, gaps."""
 from __future__ import annotations
 
+import logging
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from proxystream import clustering
 from proxystream.clustering import (
     BINNED,
+    GOWER,
     DistanceSpec,
     Partition,
     bin_centers,
     binned_spec,
     cluster_count,
     cross_distances,
-    distance,
     euclidean_spec,
     gower_spec,
     k_medoids,
-    make_proxies,
     mean_medoid_gap,
     proxy_matrices,
     random_partition,
@@ -51,24 +52,27 @@ def test_cluster_count_rejects_bad_arguments():
 
 # -- distances -------------------------------------------------------------
 
+def _pair(x, y, spec=None) -> float:
+    """The one entry of the 1 x 1 cross-distance matrix between x and y."""
+    return float(cross_distances(np.array(x, dtype=float), np.array(y, dtype=float),
+                                 spec)[0, 0])
+
+
 def test_euclidean_three_four_five():
-    assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+    assert _pair([0.0, 0.0], [3.0, 4.0]) == 5.0
 
 
 def test_gower_mixed_fixture():
     # numeric dimension: |2-7|/range 10 = 0.5; categorical match: 0 -> mean 0.25
     spec = gower_spec([False, True], numeric_ranges=[10.0, 0.0])
-    x = np.array([2.0, 1.0])
-    y = np.array([7.0, 1.0])
-    assert distance(x, y, spec) == pytest.approx(0.25)
+    assert _pair([2.0, 1.0], [7.0, 1.0], spec) == pytest.approx(0.25)
     # categorical mismatch adds a full unit on that dimension
-    z = np.array([7.0, 2.0])
-    assert distance(x, z, spec) == pytest.approx(0.75)
+    assert _pair([2.0, 1.0], [7.0, 2.0], spec) == pytest.approx(0.75)
 
 
 def test_gower_drops_zero_range_dimensions():
     spec = gower_spec([False, False], numeric_ranges=[10.0, 0.0])
-    assert distance(np.array([2.0, 5.0]), np.array([7.0, 5.0]), spec) == pytest.approx(0.5)
+    assert _pair([2.0, 5.0], [7.0, 5.0], spec) == pytest.approx(0.5)
 
 
 def test_gower_stays_in_unit_interval():
@@ -82,8 +86,8 @@ def test_gower_stays_in_unit_interval():
 
 def test_binned_same_bin_is_zero():
     spec = DistanceSpec(BINNED, n_bins=20, bin_lo=np.zeros(2), bin_hi=np.full(2, 20.0))
-    assert distance(np.array([0.2, 5.3]), np.array([0.7, 5.9]), spec) == 0.0
-    assert distance(np.array([0.2, 5.3]), np.array([0.7, 6.9]), spec) > 0.0
+    assert _pair([0.2, 5.3], [0.7, 5.9], spec) == 0.0
+    assert _pair([0.2, 5.3], [0.7, 6.9], spec) > 0.0
 
 
 def test_bin_centers_edges_and_flat_dims():
@@ -111,15 +115,13 @@ def test_binned_error_shrinks_as_bins_double():
 
 def test_distance_validates_inputs():
     with pytest.raises(ValueError):
-        distance(np.array([1.0]), np.array([1.0, 2.0]))
+        cross_distances(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         DistanceSpec("cosine")
     with pytest.raises(ValueError):
         DistanceSpec(BINNED, n_bins=0)
     with pytest.raises(ValueError):
-        distance(np.array([1.0]), np.array([2.0]), DistanceSpec(BINNED))
-    with pytest.raises(ValueError):
-        distance(np.array([1.0]), np.array([2.0]), gower_spec([False]))
+        cross_distances(np.zeros((1, 2)), np.zeros((1, 2)), gower_spec([False]))
 
 
 # -- k-medoids -------------------------------------------------------------
@@ -272,6 +274,139 @@ def test_gower_k_medoids_clusters_mixed_rows():
     assert part.assignment[0] != part.assignment[-1]
 
 
+
+# -- medoid update ---------------------------------------------------------
+
+def _direct_pairwise(points: np.ndarray, spec: DistanceSpec) -> np.ndarray:
+    """Full distance matrix from direct per-pair differences (no Gram expansion)."""
+    diff = points[:, None, :] - points[None, :, :]
+    if spec.kind != GOWER:
+        return np.sqrt((diff ** 2).sum(axis=2))
+    mask = spec.categorical_mask
+    ranges = spec.numeric_ranges
+    num = ~mask & (ranges > 0)
+    total = (np.abs(diff[:, :, num]) / ranges[num]).sum(axis=2)
+    total += (diff[:, :, mask] != 0).sum(axis=2)
+    return total / max(int(num.sum() + mask.sum()), 1)
+
+
+def _oracle_medoids(points, assignment, k, weights, spec) -> np.ndarray:
+    full = _direct_pairwise(points, spec)
+    medoids = np.empty(k, dtype=np.int64)
+    for c in range(k):
+        members = np.nonzero(assignment == c)[0]
+        sums = full[np.ix_(members, members)] @ weights[members]
+        # ties (up to rounding) go to the lowest member index
+        medoids[c] = members[np.nonzero(sums <= sums.min() * (1 + 1e-9))[0][0]]
+    return medoids
+
+
+def _medoid_case(kind: str, seed: int):
+    """Points with duplicates, an assignment rich in 2-member clusters, weights.
+
+    Euclidean coordinates are small integers (binned ones land on half-integer
+    bin centres), so the Gram expansion is exact and a tie in exact arithmetic
+    is a tie in floating point too.
+    """
+    rng = np.random.default_rng(seed)
+    n = 60
+    if kind == "gower":
+        pts = np.column_stack([rng.normal(size=n), rng.normal(size=n) * 50,
+                               rng.integers(0, 3, n), rng.integers(0, 2, n)]).astype(float)
+        spec = gower_spec([False, False, True, True]).for_batch(pts)
+    else:
+        pts = rng.integers(0, 7, size=(n, 3)).astype(float)
+        pts[:2] = [[0.0, 0.0, 0.0], [6.0, 6.0, 6.0]]
+        spec = euclidean_spec()
+    dup = rng.choice(n, size=15, replace=False)
+    pts[dup[5:]] = pts[dup[:10]]
+    if kind == "binned":
+        spec = binned_spec(n_bins=6).for_batch(pts)
+        pts = bin_centers(pts, spec.bin_lo, spec.bin_hi, spec.n_bins)
+        weights = rng.integers(1, 4, n).astype(float)
+    else:
+        weights = np.ones(n)
+    sizes = [2] * 12 + [1, 3, 5, 7, 8, 12]
+    k = len(sizes)
+    assignment = rng.permutation(np.repeat(np.arange(k), sizes))
+    return pts, assignment, k, weights, spec
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
+@pytest.mark.parametrize("seed", range(5))
+def test_medoid_update_matches_brute_force_oracle(kind, seed):
+    pts, assignment, k, weights, spec = _medoid_case(kind, seed)
+    got = clustering._medoid_update(clustering._handler(pts, spec), assignment, k, weights)
+    assert np.array_equal(got, _oracle_medoids(pts, assignment, k, weights, spec))
+
+
+def test_self_cross_distances_are_exactly_symmetric():
+    # in a 2-member cluster with equal weights the medoid is decided by
+    # d(a, b) against d(b, a), so they must agree to the last bit
+    pts = np.random.default_rng(8).normal(size=(400, 7)) * 1e3
+    members = np.arange(400).reshape(50, 8)
+    for handler in (clustering._EuclideanHandler(pts),
+                    clustering._handler(pts, gower_spec([False] * 6 + [True]).for_batch(pts))):
+        d = handler.cross(members, members)
+        assert d.shape == (50, 8, 8)
+        assert np.array_equal(d, np.swapaxes(d, 1, 2))
+
+
+def _exact_case(kind: str):
+    """Points whose distance sums are exact in any summation order.
+
+    Euclidean and binned points lie on the line t * (2, 3, 6), so every
+    distance is 7 |t - u|; Gower uses integer numerics over a range of 8 and
+    four columns, so every distance is a multiple of 1/32.
+    """
+    rng = np.random.default_rng(11)
+    t = rng.integers(0, 21, 120).astype(float)
+    if kind == "gower":
+        pts = np.column_stack([t % 9, (t * 5) % 9, t % 3, rng.integers(0, 2, 120)])
+        return pts, gower_spec([False, False, True, True])
+    pts = t[:, None] * np.array([2.0, 3.0, 6.0])
+    return pts, binned_spec(n_bins=20) if kind == "binned" else euclidean_spec()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
+def test_chunked_medoid_update_gives_the_same_partition(kind, monkeypatch):
+    pts, spec = _exact_case(kind)
+    for k in (1, 4, 15):
+        whole = k_medoids(pts, k, spec, seed=3)
+        # smaller than one s x s tensor of every group: forces row chunks
+        monkeypatch.setattr(clustering, "_BATCH_LIMIT", 7)
+        chunked = k_medoids(pts, k, spec, seed=3)
+        monkeypatch.undo()
+        assert np.array_equal(chunked.assignment, whole.assignment)
+        assert np.array_equal(chunked.medoids, whole.medoids)
+        assert chunked.cost_history == whole.cost_history
+
+
+@pytest.mark.parametrize("limit", [7, 200, 2000])
+def test_chunked_medoid_update_matches_the_oracle(limit, monkeypatch):
+    pts, spec = _exact_case("euclidean")
+    rng = np.random.default_rng(5)
+    assignment = rng.permutation(np.repeat(np.arange(12), [2] * 6 + [10, 10, 20, 20, 20, 22]))
+    weights = np.ones(len(pts))
+    monkeypatch.setattr(clustering, "_BATCH_LIMIT", limit)
+    got = clustering._medoid_update(clustering._handler(pts, spec), assignment, 12, weights)
+    assert np.array_equal(got, _oracle_medoids(pts, assignment, 12, weights, spec))
+
+
+def test_max_iter_without_convergence_logs_a_warning(caplog):
+    pts = np.random.default_rng(4).normal(size=(50, 2))
+    with caplog.at_level(logging.WARNING, logger="proxystream.clustering"):
+        part = k_medoids(pts, 5, seed=1, max_iter=1)
+    assert len(part.cost_history) == 2
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "max_iter=1" in record.getMessage()
+    assert "n=50" in record.getMessage() and "k=5" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="proxystream.clustering"):
+        k_medoids(pts, 5, seed=1)
+    assert not caplog.records
+
 # -- random partitions -----------------------------------------------------
 
 def test_random_partition_k1_is_all_zero():
@@ -368,13 +503,13 @@ def test_proxy_row_count_mismatch():
 def test_make_proxies_fields():
     feats = np.array([[0.0], [2.0], [4.0]])
     part = Partition(3, 2, np.array([1, 1, 0]))
-    proxies = make_proxies(part, feats, np.array([1.0, 3.0, 5.0]))
-    assert [p.cluster_index for p in proxies] == [0, 1]
-    assert proxies[0].member_count == 1
-    assert proxies[1].member_count == 2
-    assert proxies[1].features[0] == 1.0
-    assert proxies[1].outcome == 2.0
-    assert make_proxies(part, feats)[0].outcome is None
+    ids, px, py, counts = proxy_matrices(part, feats, np.array([1.0, 3.0, 5.0]))
+    assert np.array_equal(ids, [0, 1])
+    assert counts[0] == 1
+    assert counts[1] == 2
+    assert px[1, 0] == 1.0
+    assert py[1] == 2.0
+    assert proxy_matrices(part, feats)[2] is None
 
 
 # -- mean-medoid gap -------------------------------------------------------

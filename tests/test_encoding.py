@@ -6,13 +6,10 @@ import pytest
 
 from proxystream.encoding import (
     JOURNEY_AGGREGATE_ROWS,
-    encode_invoice,
-    encode_journey,
     encode_journeys,
     invoice_encoding,
     journey_row_count,
     journey_row_names,
-    linear_fit,
     linear_fit_batch,
     one_hot_width,
     prefix_label_counts,
@@ -43,6 +40,17 @@ def _shopper_store(events) -> EventStore:
     return EventStore(events, alphabet=ALPHABET, event_schema=SHOPPER_EVENT_SCHEMA)
 
 
+def _journey(store: EventStore, entity_id, window_end: float, n_weeks: int) -> np.ndarray:
+    """One entity's (F, n_weeks) journey matrix from the batch encoder."""
+    codes = np.array([store.entity_code(entity_id)])
+    return encode_journeys(store, codes, window_end, n_weeks)[0]
+
+
+def _fit(matrix: np.ndarray):
+    """(slope, intercept, residual) rows of one matrix from the batch fit."""
+    return np.split(linear_fit_batch(matrix)[0], 3)
+
+
 # -- journey matrices ------------------------------------------------------
 
 def test_row_layout():
@@ -54,14 +62,14 @@ def test_row_layout():
 
 def test_single_visit_column():
     store = _shopper_store([_visit("a", "dairy", 0.4, 0.5, 2.0, 1.0, 20.0, 10.0)])
-    journey = encode_journey(store, "a", window_end=1.0, n_weeks=1)
+    journey = _journey(store, "a", window_end=1.0, n_weeks=1)
     assert journey.shape == (9, 1)
     assert np.array_equal(journey[:, 0], [0.5, 2.0, 1.0, 20.0, 10.0, 1.0, 0.0, 1.0, 0.0])
 
 
 def test_empty_weeks_are_zero_columns():
     store = _shopper_store([_visit("a", "dairy", 2.5, 0.5, 2.0, 1.0, 20.0, 10.0)])
-    journey = encode_journey(store, "a", window_end=3.0, n_weeks=3)
+    journey = _journey(store, "a", window_end=3.0, n_weeks=3)
     assert np.array_equal(journey[:, 0], np.zeros(9))
     assert np.array_equal(journey[:, 1], np.zeros(9))
     assert journey[5, 2] == 1.0
@@ -73,7 +81,7 @@ def test_multi_visit_week_aggregates():
         _visit("a", "bakery", 0.1, 0.2, 1.0, 2.0, 10.0, 5.0),
         _visit("a", "dairy", 0.6, 0.8, 3.0, 4.0, 30.0, 15.0),
     ])
-    journey = encode_journey(store, "a", window_end=1.0, n_weeks=1)
+    journey = _journey(store, "a", window_end=1.0, n_weeks=1)
     assert journey[0, 0] == pytest.approx(0.5)    # mean freshness
     assert journey[1, 0] == pytest.approx(2.0)    # mean item value
     assert journey[2, 0] == pytest.approx(3.0)    # mean density
@@ -90,7 +98,7 @@ def test_window_excludes_right_edge_and_earlier_weeks():
         _visit("a", "dairy", 1.5, 0.5, 2.0, 1.0, 7.0, 10.0),    # week 0 of window
         _visit("a", "dairy", 3.0, 0.5, 2.0, 1.0, 9.0, 10.0),    # at window_end
     ])
-    journey = encode_journey(store, "a", window_end=3.0, n_weeks=2)
+    journey = _journey(store, "a", window_end=3.0, n_weeks=2)
     assert journey[3, 0] == 7.0
     assert np.array_equal(journey[:, 1], np.zeros(9))
 
@@ -104,8 +112,8 @@ def test_batch_matches_single_and_ignores_other_entities():
     codes = np.array([store.entity_code("b"), store.entity_code("a")])
     batch = encode_journeys(store, codes, window_end=2.0, n_weeks=2)
     assert batch.shape == (2, 9, 2)
-    assert np.array_equal(batch[0], encode_journey(store, "b", 2.0, 2))
-    assert np.array_equal(batch[1], encode_journey(store, "a", 2.0, 2))
+    assert np.array_equal(batch[0], _journey(store, "b", 2.0, 2))
+    assert np.array_equal(batch[1], _journey(store, "a", 2.0, 2))
     empty = encode_journeys(store, np.array([], dtype=int), 2.0, 2)
     assert empty.shape == (0, 9, 2)
 
@@ -130,18 +138,18 @@ def test_weekly_spend_window():
 # -- linear fits -----------------------------------------------------------
 
 def test_linear_fit_peak_fixture():
-    fit = linear_fit(np.array([[0.0, 1.0, 0.0]]))
-    assert fit.slope[0] == pytest.approx(0.0, abs=1e-12)
-    assert fit.intercept[0] == pytest.approx(1 / 3, abs=1e-12)
-    assert fit.residual[0] == pytest.approx(np.sqrt(2 / 9), abs=1e-12)
+    slope, intercept, residual = _fit(np.array([[0.0, 1.0, 0.0]]))
+    assert slope[0] == pytest.approx(0.0, abs=1e-12)
+    assert intercept[0] == pytest.approx(1 / 3, abs=1e-12)
+    assert residual[0] == pytest.approx(np.sqrt(2 / 9), abs=1e-12)
 
 
 def test_linear_fit_recovers_exact_line():
     weeks = np.arange(5.0)
-    fit = linear_fit(np.array([2.0 * weeks - 1.0, np.full(5, 4.0)]))
-    assert np.allclose(fit.slope, [2.0, 0.0], atol=1e-12)
-    assert np.allclose(fit.intercept, [-1.0, 4.0], atol=1e-12)
-    assert np.allclose(fit.residual, [0.0, 0.0], atol=1e-12)
+    slope, intercept, residual = _fit(np.array([2.0 * weeks - 1.0, np.full(5, 4.0)]))
+    assert np.allclose(slope, [2.0, 0.0], atol=1e-12)
+    assert np.allclose(intercept, [-1.0, 4.0], atol=1e-12)
+    assert np.allclose(residual, [0.0, 0.0], atol=1e-12)
 
 
 def test_linear_fit_batch_layout_and_consistency():
@@ -150,30 +158,32 @@ def test_linear_fit_batch_layout_and_consistency():
     flat = linear_fit_batch(mats)
     assert flat.shape == (4, 18)
     for i in range(4):
-        fit = linear_fit(mats[i])
-        assert np.allclose(flat[i], fit.stacked(), atol=1e-12)
-        assert np.array_equal(fit.stacked(),
-                              np.concatenate([fit.slope, fit.intercept, fit.residual]))
+        # a 2d matrix is fitted as a batch of one, with the same layout
+        single = linear_fit_batch(mats[i])
+        assert single.shape == (1, 18)
+        assert np.allclose(flat[i], single[0], atol=1e-12)
+        slope, intercept, residual = _fit(mats[i])
+        assert np.array_equal(single[0], np.concatenate([slope, intercept, residual]))
 
 
 def test_linear_fit_is_least_squares():
     rng = np.random.default_rng(8)
     row = rng.normal(size=(1, 7))
-    fit = linear_fit(row)
+    fit_slope, fit_intercept, _ = _fit(row)
     weeks = np.arange(7.0)
 
     def sse(slope, intercept):
         return ((row[0] - slope * weeks - intercept) ** 2).sum()
 
-    best = sse(fit.slope[0], fit.intercept[0])
+    best = sse(fit_slope[0], fit_intercept[0])
     for ds in (-1e-4, 1e-4):
-        assert sse(fit.slope[0] + ds, fit.intercept[0]) > best
-        assert sse(fit.slope[0], fit.intercept[0] + ds) > best
+        assert sse(fit_slope[0] + ds, fit_intercept[0]) > best
+        assert sse(fit_slope[0], fit_intercept[0] + ds) > best
 
 
 def test_linear_fit_needs_two_columns():
     with pytest.raises(ValueError):
-        linear_fit(np.ones((3, 1)))
+        linear_fit_batch(np.ones((3, 1)))
 
 
 def test_standardize_columns():
@@ -273,10 +283,10 @@ def test_zero_prefix_entity_encodes_to_zero_frequencies():
 
 def test_encode_invoice_single_entity():
     store = _invoice_store()
-    freqs, attrs = encode_invoice(store, store.entity_ids[0])
-    assert freqs.shape == (len(store.alphabet),)
-    assert set(attrs) == {f.name for f in store.entity_schema}
-
-    bare = EventStore([Event("x", "prep", 0.0)], alphabet=("prep", VCI_LABEL))
-    with pytest.raises(ValueError):
-        encode_invoice(bare, "x")
+    enc = invoice_encoding(store, np.array([store.entity_code(store.entity_ids[0])]))
+    n_labels = len(store.alphabet)
+    freqs, attrs = enc.mixed[0, :n_labels], enc.mixed[0, n_labels:]
+    assert freqs.shape == (n_labels,)
+    assert freqs.sum() == pytest.approx(1.0)
+    assert attrs.shape == (len(store.entity_schema),)
+    assert enc.categorical_mask[n_labels:].all()

@@ -13,7 +13,6 @@ from proxystream.events import (
     EventStore,
     SchemaError,
     TimeWindow,
-    activity_frequencies,
     frequencies_from_codes,
 )
 
@@ -78,8 +77,8 @@ def test_window_slice_excludes_right_edge():
         Event("b", "visit", 1.9),
         Event("c", "visit", 2.0),
     ])
-    got = store.window_slice(TimeWindow(1.0, 2.0))
-    assert [e.time for e in got] == [1.0, 1.9]
+    lo, hi = store.window_bounds(TimeWindow(1.0, 2.0))
+    assert [store.event_at(row).time for row in range(lo, hi)] == [1.0, 1.9]
 
 
 # -- stores ----------------------------------------------------------------
@@ -175,7 +174,9 @@ def test_first_times_and_entities_in_window():
     assert np.array_equal(store.first_times, [1.0, 3.0])
     assert np.array_equal(store.entities_in_window(TimeWindow(0.0, 2.5)), [0])
     assert np.array_equal(store.entities_in_window(TimeWindow(0.0, 3.5)), [0, 1])
-    assert store.entity_slice(TimeWindow(0.0, 10.0), "a") == [
+    lo, hi = store.window_bounds(TimeWindow(0.0, 10.0))
+    rows = np.nonzero(store.entity_codes[lo:hi] == store.entity_code("a"))[0] + lo
+    assert [store.event_at(int(row)) for row in rows] == [
         Event("a", "visit", 1.0, {"value": 10.0}),
         Event("a", "pay", 2.0, {"value": 20.0}),
     ]
@@ -206,20 +207,30 @@ def test_empty_store():
 
 # -- activity frequencies --------------------------------------------------
 
+def _store_frequencies(events, alphabet) -> np.ndarray:
+    """Label frequencies of ``events`` through a store's activity codes."""
+    store = EventStore(events, alphabet=alphabet)
+    return frequencies_from_codes(store.activity_codes, len(store.alphabet))
+
+
 def test_activity_frequencies_fixture():
     events = [Event("e", "a", 0.0), Event("e", "a", 1.0), Event("e", "b", 2.0)]
-    got = activity_frequencies(events, ("a", "b", "c"))
+    got = _store_frequencies(events, ("a", "b", "c"))
     assert np.allclose(got, [2 / 3, 1 / 3, 0.0])
     assert got.sum() == pytest.approx(1.0)
 
 
 def test_activity_frequencies_empty_is_zero():
-    assert np.array_equal(activity_frequencies([], ("a", "b")), [0.0, 0.0])
+    assert np.array_equal(_store_frequencies([], ("a", "b")), [0.0, 0.0])
+    assert np.array_equal(frequencies_from_codes(np.array([], dtype=int), 2), [0.0, 0.0])
 
 
 def test_activity_frequencies_rejects_unknown_label():
     with pytest.raises(SchemaError):
-        activity_frequencies([Event("e", "z", 0.0)], ("a", "b"))
+        _store_frequencies([Event("e", "z", 0.0)], ("a", "b"))
+    for code in (-1, 2):
+        with pytest.raises(SchemaError):
+            frequencies_from_codes(np.array([0, code]), 2)
 
 
 def test_frequencies_sum_to_one():
@@ -228,7 +239,7 @@ def test_frequencies_sum_to_one():
     for _ in range(20):
         codes = rng.integers(0, 5, rng.integers(1, 40))
         events = [Event("e", alphabet[c], float(i)) for i, c in enumerate(codes)]
-        freq = activity_frequencies(events, alphabet)
+        freq = _store_frequencies(events, alphabet)
         assert freq.sum() == pytest.approx(1.0)
         assert (freq >= 0).all()
-        assert np.allclose(freq, frequencies_from_codes(codes, 5))
+        assert np.allclose(freq, np.bincount(codes, minlength=5) / len(codes))

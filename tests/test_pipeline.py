@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxystream.encoding import weekly_spend
 from proxystream.metrics import CLUSTER_RMSE, ENTITY_RMSE
@@ -343,6 +345,46 @@ def test_ledger_resolution_paths():
     assert n == 1
     assert ledger.unresolved == 0
     assert ledger.resolve_step(3, lambda codes: codes) == 0
+
+
+_LEDGER_STEPS = st.lists(
+    st.tuples(st.sets(st.integers(0, 9), max_size=6),   # codes predicted at t
+              st.sets(st.integers(0, 9), max_size=6),   # codes resolved at t
+              st.integers(0, 3),                        # age of the resolved step
+              st.booleans()),                           # mixed mode: resolve by step
+    min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("mode", ["step", "entities", "mixed"])
+@settings(max_examples=150, deadline=None)
+@given(steps=_LEDGER_STEPS)
+def test_ledger_resolves_each_prediction_once_with_its_own_truth(mode, steps):
+    ledger = EvaluationLedger()
+    truths: list[float | None] = []   # model of every record's truth
+    for t, (predicted, resolved, age, flip) in enumerate(steps):
+        by_step = mode == "step" or (mode == "mixed" and flip)
+        codes = np.array(sorted(predicted), dtype=np.int64)
+        ledger.add_predictions(t, codes, [f"e{c}" for c in codes],
+                               np.zeros(len(codes)), np.ones(len(codes)),
+                               codes.astype(float), None)
+        truths.extend([None] * len(codes))
+        # a truth encodes the code it was asked for and the step it belongs to
+        if by_step:
+            step = t - age
+            n = ledger.resolve_step(step, lambda c: c * 100.0 + step)
+            due = [i for i, r in enumerate(ledger.records)
+                   if truths[i] is None and r.step == step]
+        else:
+            n = ledger.resolve_entities(np.array(sorted(resolved), dtype=np.int64),
+                                        lambda c: c * 100.0 + t)
+            due = [i for i, r in enumerate(ledger.records)
+                   if truths[i] is None and r.entity_code in resolved]
+        assert n == len(due)
+        for i in due:
+            rec = ledger.records[i]
+            truths[i] = rec.entity_code * 100.0 + (rec.step if by_step else t)
+        assert [r.truth for r in ledger.records] == truths
+        assert ledger.unresolved == truths.count(None)
 
 
 def test_compute_metrics_groups_by_prediction_step():
