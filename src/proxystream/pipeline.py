@@ -14,6 +14,7 @@ path (singleton clusters, no RNG) is bit-identical to bypassing clustering.
 from __future__ import annotations
 
 import logging
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -83,71 +84,93 @@ class PredictionRecord:
     truth: float | None = None
 
 
-class EvaluationLedger:
-    """Pending and resolved predictions, indexed for both resolution modes.
+_ROW = np.dtype([("step", np.int64), ("code", np.int64), ("cluster", np.int64),
+                 ("size", np.int64), ("predicted", float), ("previous", float),
+                 ("truth", float), ("has_previous", bool), ("resolved", bool)])
 
-    Open rows sit in insertion-ordered dict buckets keyed by step and by
-    entity code, so a row resolved through one index leaves the other in
-    O(1).
+
+class EvaluationLedger:
+    """Pending and resolved predictions, one row each in numpy columns.
+
+    Each ``add_predictions`` call appends a block of rows. Open rows are
+    indexed by step and by entity code. An index entry is dropped once used,
+    so resolving visits each row at most once per index; a row resolved
+    through one index stays in the other, where its resolved flag skips it.
+    ``records`` and ``resolved_records()`` build :class:`PredictionRecord`
+    objects on demand.
     """
 
     def __init__(self) -> None:
-        self.records: list[PredictionRecord] = []
-        self._open_by_step: dict[int, dict[int, None]] = {}
-        self._open_by_code: dict[int, dict[int, None]] = {}
+        self._rows = np.zeros(0, dtype=_ROW)
+        self._n = 0
+        self._ids: list = []
+        self._open_by_step: dict[int, list[range]] = {}
+        self._open_by_code: dict[int, list[int]] = {}
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The filled rows: a structured array with the fields of ``_ROW``."""
+        return self._rows[:self._n]
 
     def add_predictions(self, step: int, codes: np.ndarray, ids: list,
                         clusters: np.ndarray, sizes: np.ndarray,
-                        predicted: np.ndarray,
-                        previous: np.ndarray | None) -> None:
-        start = len(self.records)
-        for i, code in enumerate(codes):
-            self.records.append(PredictionRecord(
-                step=step,
-                entity_code=int(code),
-                entity_id=ids[i],
-                cluster_index=int(clusters[i]),
-                cluster_size=int(sizes[i]),
-                predicted=float(predicted[i]),
-                previous=None if previous is None else float(previous[i]),
-            ))
-        rows = range(start, len(self.records))
-        self._open_by_step.setdefault(step, {}).update(dict.fromkeys(rows))
-        for row in rows:
-            code = self.records[row].entity_code
-            self._open_by_code.setdefault(code, {})[row] = None
+                        predicted: np.ndarray, previous: np.ndarray | None) -> None:
+        start, self._n = self._n, self._n + len(codes)
+        if self._n > len(self._rows):  # grow by doubling
+            grown = np.zeros(max(self._n, 2 * start), dtype=_ROW)
+            grown[:start] = self._rows[:start]
+            self._rows = grown
+        block = self._rows[start:self._n]
+        block["step"], block["code"], block["cluster"] = step, codes, clusters
+        block["size"], block["predicted"] = sizes, predicted
+        if previous is not None:
+            block["previous"], block["has_previous"] = previous, True
+        self._ids.extend(ids)
+        rows = range(start, self._n)
+        self._open_by_step.setdefault(step, []).append(rows)
+        for code, row in zip(block["code"].tolist(), rows):
+            self._open_by_code.setdefault(code, []).append(row)
 
-    def _close(self, rows: list[int], truths: np.ndarray) -> None:
-        for row, value in zip(rows, truths):
-            self.records[row].truth = float(value)
+    def _close(self, rows: Iterable[int], truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
+        """Resolve the open ones of ``rows``; a bad truth shape raises first."""
+        rows = np.fromiter(rows, dtype=np.int64)
+        rows = rows[~self._rows["resolved"][rows]]
+        if len(rows):
+            truth = np.asarray(truth_fn(self._rows["code"][rows]), dtype=float)
+            if truth.shape != rows.shape:
+                raise ValueError(f"truth_fn gave shape {truth.shape} for {len(rows)} rows")
+            self._rows["truth"][rows] = truth
+            self._rows["resolved"][rows] = True
+        return len(rows)
 
     def resolve_step(self, step: int,
                      truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
         """Resolve all pending predictions made at ``step``."""
-        rows = list(self._open_by_step.pop(step, ()))
-        if rows:
-            codes = np.array([self.records[r].entity_code for r in rows], dtype=np.int64)
-            self._close(rows, truth_fn(codes))
-            for r in rows:
-                del self._open_by_code[self.records[r].entity_code][r]
-        return len(rows)
+        n = self._close(chain.from_iterable(self._open_by_step.get(step, ())), truth_fn)
+        self._open_by_step.pop(step, None)
+        return n
 
     def resolve_entities(self, codes: np.ndarray,
                          truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
         """Resolve pending predictions for the given entity codes."""
-        rows: list[int] = []
-        for code in codes:
-            rows.extend(self._open_by_code.pop(int(code), ()))
-        if rows:
-            row_codes = np.array([self.records[r].entity_code for r in rows], dtype=np.int64)
-            self._close(rows, truth_fn(row_codes))
-            for r in rows:
-                del self._open_by_step[self.records[r].step][r]
-        return len(rows)
+        asked = [c for c in dict.fromkeys(np.asarray(codes).tolist()) if c in self._open_by_code]
+        n = self._close(chain.from_iterable(self._open_by_code[c] for c in asked), truth_fn)
+        for c in asked:
+            del self._open_by_code[c]
+        return n
 
     @property
     def unresolved(self) -> int:
-        return sum(1 for r in self.records if r.truth is None)
+        return self._n - int(np.count_nonzero(self.columns["resolved"]))
+
+    @property
+    def records(self) -> list[PredictionRecord]:
+        cols = [self.columns[name].tolist() for name in _ROW.names]
+        return [PredictionRecord(step, code, entity_id, cluster, size, predicted,
+                                 previous if has_previous else None,
+                                 truth if resolved else None)
+                for entity_id, step, code, cluster, size, predicted, previous, truth,
+                has_previous, resolved in zip(self._ids, *cols)]
 
     def resolved_records(self) -> list[PredictionRecord]:
         return [r for r in self.records if r.truth is not None]
@@ -165,15 +188,6 @@ class RunResult:
             if s.step == t:
                 return s
         raise KeyError(f"no step {t} in this run")
-
-
-@dataclass
-class _PhaseCache:
-    step: int
-    codes: np.ndarray
-    model_x: np.ndarray
-    cluster_x: np.ndarray
-    partition: Partition | None
 
 
 def run_stream(store, usecase, rho: int | str, *,
@@ -212,33 +226,27 @@ def run_stream(store, usecase, rho: int | str, *,
         spec = spec.with_width(ctx.model_width)
     regressor = init_model(spec, np.random.SeedSequence(seed, spawn_key=(_MODEL_KEY,)))
 
-    def cluster_seed(phase: int, t: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(seed, spawn_key=(_CLUSTER_KEY, phase, t))
-
-    def k_for(n: int) -> int:
-        if n == 0:
-            return 0
-        return 1 if rho == ALL_TOKEN else cluster_count(n, int(rho))
-
-    def partition_batch(cluster_x: np.ndarray, k: int, phase: int, t: int) -> Partition:
+    def partition_batch(cluster_x: np.ndarray, phase: int, t: int) -> Partition:
+        k = 1 if rho == ALL_TOKEN else cluster_count(len(cluster_x), int(rho))
+        cluster_seed = np.random.SeedSequence(seed, spawn_key=(_CLUSTER_KEY, phase, t))
         if partitioner == RANDOM:
-            return random_partition(len(cluster_x), k, cluster_seed(phase, t))
-        template = ctx.distance_template()
-        return k_medoids(cluster_x, k, template, seed=cluster_seed(phase, t),
+            return random_partition(len(cluster_x), k, cluster_seed)
+        return k_medoids(cluster_x, k, ctx.distance_template(), seed=cluster_seed,
                          max_iter=max_iter)
 
     details = collect == "details"
     ledger = EvaluationLedger()
     results: list[StepResult] = []
     entity_ids = store.entity_ids
-    cache: _PhaseCache | None = None
+    # prediction-phase artifacts of step t - 1, reused to train at step t
+    cache: dict[int, tuple] = {}
 
     for t in step_list:
         res = StepResult(step=t)
 
         # -- training phase
-        if (ctx.reuse_encodings and cache is not None and cache.step == t - 1):
-            codes, model_x, cluster_x, part = cache.codes, cache.model_x, cache.cluster_x, cache.partition
+        if t - 1 in cache:
+            codes, model_x, cluster_x, part = cache[t - 1]
             res.reused_encoding = True
         else:
             codes = ctx.select_training(t)
@@ -246,25 +254,23 @@ def run_stream(store, usecase, rho: int | str, *,
             if len(codes):
                 model_x, cluster_x = ctx.encode_batch(codes, t - 1)
                 if not bypass_clustering:
-                    part = partition_batch(cluster_x, k_for(len(codes)), _PHASE_TRAIN, t)
+                    part = partition_batch(cluster_x, _PHASE_TRAIN, t)
         res.n_train = len(codes)
         res.train_codes = codes
         if len(codes):
             outcomes = ctx.training_outcomes(codes, t)
+            res.k_train = len(codes) if part is None else part.k
             if bypass_clustering:
-                res.k_train = len(codes)
                 regressor.update(model_x, outcomes)
             else:
-                res.k_train = part.k
                 res.train_partition = part
                 cluster_ids, px, py, _ = proxy_matrices(part, model_x, outcomes)
                 res.train_cluster_ids = cluster_ids
                 res.train_proxy_outcomes = py
                 regressor.update(px, py)
                 if details:
-                    res.details["train_model_x"] = model_x
-                    res.details["train_cluster_x"] = cluster_x
-                    res.details["train_proxy_x"] = px
+                    res.details.update(train_model_x=model_x, train_cluster_x=cluster_x,
+                                       train_proxy_x=px)
             res.trained = True
             if details:
                 res.details["train_outcomes"] = outcomes
@@ -276,22 +282,17 @@ def run_stream(store, usecase, rho: int | str, *,
         if len(pred_codes):
             pmodel_x, pcluster_x = ctx.encode_batch(pred_codes, t)
             if not bypass_clustering:
-                ppart = partition_batch(pcluster_x, k_for(len(pred_codes)), _PHASE_PREDICT, t)
-                res.k_pred = ppart.k
-                res.pred_partition = ppart
-            else:
-                res.k_pred = len(pred_codes)
+                ppart = res.pred_partition = partition_batch(pcluster_x, _PHASE_PREDICT, t)
+            res.k_pred = len(pred_codes) if ppart is None else ppart.k
             res.pred_codes = pred_codes
 
             if regressor.n_updates == 0:
                 logger.info("step %s: prediction skipped, model is cold", t)
             else:
                 if bypass_clustering:
-                    predictions = regressor.predict(pmodel_x)
-                    clusters = np.arange(len(pred_codes))
+                    predictions = res.proxy_predictions = regressor.predict(pmodel_x)
+                    clusters = res.pred_cluster_ids = np.arange(len(pred_codes))
                     sizes = np.ones(len(pred_codes), dtype=np.int64)
-                    res.proxy_predictions = predictions
-                    res.pred_cluster_ids = clusters
                 else:
                     cluster_ids, px, _, counts = proxy_matrices(ppart, pmodel_x)
                     proxy_pred = regressor.predict(px)
@@ -302,9 +303,8 @@ def run_stream(store, usecase, rho: int | str, *,
                     res.proxy_predictions = proxy_pred
                     res.pred_cluster_ids = cluster_ids
                     if details:
-                        res.details["pred_model_x"] = pmodel_x
-                        res.details["pred_cluster_x"] = pcluster_x
-                        res.details["pred_proxy_x"] = px
+                        res.details.update(pred_model_x=pmodel_x, pred_cluster_x=pcluster_x,
+                                           pred_proxy_x=px)
                 res.predictions = predictions
                 res.predicted = True
                 previous = ctx.prev_outcomes(pred_codes, t)
@@ -321,66 +321,60 @@ def run_stream(store, usecase, rho: int | str, *,
             ledger.resolve_entities(codes, lambda c: ctx.resolve_outcomes(c, t))
 
         if ctx.reuse_encodings:
-            cache = _PhaseCache(step=t, codes=pred_codes, model_x=pmodel_x,
-                                cluster_x=pcluster_x, partition=ppart)
+            cache = {t: (pred_codes, pmodel_x, pcluster_x, ppart)}
         results.append(res)
 
     report = compute_metrics(ledger)
-    config = {
-        "use_case": ctx.name,
-        "rho": rho,
-        "seed": seed,
-        "partitioner": partitioner,
-        "bypass_clustering": bypass_clustering,
-        "model": spec,
-        "steps": step_list,
-        "n_entities": store.entity_count,
-        "unresolved": ledger.unresolved,
-    }
+    config = dict(use_case=ctx.name, rho=rho, seed=seed, partitioner=partitioner,
+                  bypass_clustering=bypass_clustering, model=spec, steps=step_list,
+                  n_entities=store.entity_count, unresolved=ledger.unresolved)
     logger.info("run complete: %d steps, %d predictions (%d unresolved)",
-                len(step_list), len(ledger.records), ledger.unresolved)
+                len(step_list), len(ledger.columns), ledger.unresolved)
     return RunResult(steps=results, ledger=ledger, metrics=report, config=config)
 
 
 def compute_metrics(ledger: EvaluationLedger) -> MetricReport:
-    """Score resolved ledger records, grouped by prediction step."""
-    by_step: dict[int, list[PredictionRecord]] = {}
-    for r in ledger.records:
-        by_step.setdefault(r.step, []).append(r)
+    """Score resolved ledger rows, grouped by prediction step.
 
+    A stable sort by cluster keeps each cluster's members in ledger order:
+    the proxy prediction is the first member's, and the mean truth sums the
+    members in the order the row-by-row ``np.mean`` did.
+    """
+    cols = ledger.columns
+    by_step = np.argsort(cols["step"], kind="stable")
+    steps, starts = np.unique(cols["step"][by_step], return_index=True)
     report = MetricReport()
-    for step in sorted(by_step):
-        recs = [r for r in by_step[step] if r.truth is not None]
-        values: dict[str, float | None] = {}
-        counts: dict[str, int] = {}
-        if recs:
-            pred = np.array([r.predicted for r in recs])
-            truth = np.array([r.truth for r in recs])
+    for step, rows in zip(steps.tolist(), np.split(by_step, starts[1:])):
+        rows = rows[cols["resolved"][rows]]
+        values, counts = {}, {}
+        if len(rows):
+            pred, truth = cols["predicted"][rows], cols["truth"][rows]
+            by_cluster = np.argsort(cols["cluster"][rows], kind="stable")
+            _, first = np.unique(cols["cluster"][rows][by_cluster], return_index=True)
+            values[CLUSTER_RMSE] = cluster_rmse(pred[by_cluster][first],
+                                                _run_means(truth[by_cluster], first))
             values[ENTITY_RMSE] = entity_rmse(pred, truth)
-            counts[ENTITY_RMSE] = len(recs)
-
-            by_cluster: dict[int, list[PredictionRecord]] = {}
-            for r in recs:
-                by_cluster.setdefault(r.cluster_index, []).append(r)
-            proxy_pred = []
-            cluster_truth = []
-            for cluster in sorted(by_cluster):
-                members = by_cluster[cluster]
-                proxy_pred.append(members[0].predicted)
-                cluster_truth.append(float(np.mean([m.truth for m in members])))
-            values[CLUSTER_RMSE] = cluster_rmse(np.array(proxy_pred), np.array(cluster_truth))
-            counts[CLUSTER_RMSE] = len(by_cluster)
-
-            scored = [r for r in recs if r.previous is not None]
+            values[TURNOVER_APE] = turnover_ape(pred, truth)
+            counts.update({CLUSTER_RMSE: len(first), ENTITY_RMSE: len(rows),
+                           TURNOVER_APE: len(rows)})
+            scored = rows[cols["has_previous"][rows]]
             if len(scored) >= 10:
                 values[TOP_DECILE_F1] = top_decile_f1(
-                    np.array([r.previous for r in scored]),
-                    np.array([r.truth for r in scored]),
-                    np.array([r.predicted for r in scored]),
-                    entity_ids=np.array([r.entity_code for r in scored]),
-                )
+                    cols["previous"][scored], cols["truth"][scored],
+                    cols["predicted"][scored], entity_ids=cols["code"][scored])
                 counts[TOP_DECILE_F1] = len(scored)
-            values[TURNOVER_APE] = turnover_ape(pred, truth)
-            counts[TURNOVER_APE] = len(recs)
         report.add_step(step, values, counts)
     return report
+
+
+def _run_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mean of each run ``values[starts[i]:starts[i + 1]]``, bit for bit as
+    ``np.mean`` of the run: runs of equal length s stack into a (g, s)
+    matrix, whose row sums keep the pairwise order (``np.add.reduceat``
+    does not)."""
+    sizes = np.diff(np.append(starts, len(values)))
+    means = np.empty(len(starts))
+    for s in np.unique(sizes).tolist():
+        runs = np.flatnonzero(sizes == s)
+        means[runs] = values[starts[runs, None] + np.arange(s)].sum(axis=1) / s
+    return means

@@ -21,7 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from proxystream.sweep import RunOutput, execute_run, run_config_from_dict, run_id_for, write_run_outputs
+from proxystream.sweep import (
+    RunOutput,
+    execute_run,
+    run_config_from_dict,
+    run_id_for,
+    write_run_outputs,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PINNED_FILES = ("results.csv", "summary.csv", "steps.csv")

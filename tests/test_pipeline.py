@@ -7,9 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxystream.encoding import weekly_spend
-from proxystream.metrics import CLUSTER_RMSE, ENTITY_RMSE
+from proxystream import pipeline
+from proxystream.metrics import (
+    CLUSTER_RMSE,
+    ENTITY_RMSE,
+    TOP_DECILE_F1,
+    TURNOVER_APE,
+    MetricReport,
+    cluster_rmse,
+    entity_rmse,
+    top_decile_f1,
+    turnover_ape,
+)
 from proxystream.models import ModelSpec
 from proxystream.pipeline import (
+    PredictionRecord,
     EvaluationLedger,
     compute_metrics,
     run_stream,
@@ -407,3 +419,154 @@ def test_compute_metrics_groups_by_prediction_step():
     assert report.per_step[CLUSTER_RMSE][0] == pytest.approx(0.0)
     assert report.per_step[ENTITY_RMSE][1] == 0.0
     assert report.average(ENTITY_RMSE) == pytest.approx(5.0)
+
+
+_MISSHAPEN = {
+    "short": lambda codes: np.zeros(len(codes) - 1),
+    "long": lambda codes: np.zeros(len(codes) + 1),
+    "scalar": lambda codes: 5.0,
+}
+
+
+@pytest.mark.parametrize("mode", ["step", "entities"])
+@pytest.mark.parametrize("bad", sorted(_MISSHAPEN))
+def test_misshapen_truths_raise_and_leave_the_ledger_unchanged(mode, bad):
+    ledger = EvaluationLedger()
+    codes = np.array([4, 5, 6])
+    ledger.add_predictions(3, codes, ["a", "b", "c"], np.zeros(3), np.ones(3),
+                           np.array([1.0, 2.0, 3.0]), None)
+
+    def resolve(truth_fn):
+        if mode == "step":
+            return ledger.resolve_step(3, truth_fn)
+        return ledger.resolve_entities(codes, truth_fn)
+
+    before = ledger.records
+    with pytest.raises(ValueError, match="shape"):
+        resolve(_MISSHAPEN[bad])
+    assert ledger.records == before
+    assert ledger.unresolved == 3
+    # both indexes still hold every row, so a good truth_fn resolves them all
+    assert resolve(lambda c: c * 10.0) == 3
+    assert [r.truth for r in ledger.records] == [40.0, 50.0, 60.0]
+    assert ledger.resolve_step(3, lambda c: c * 0.0) == 0
+    assert ledger.resolve_entities(codes, lambda c: c * 0.0) == 0
+
+
+def _reference_metrics(records: list[PredictionRecord]) -> MetricReport:
+    """Record-by-record scoring: dict grouping and one np.mean per cluster."""
+    by_step: dict[int, list[PredictionRecord]] = {}
+    for r in records:
+        by_step.setdefault(r.step, []).append(r)
+    report = MetricReport()
+    for step in sorted(by_step):
+        recs = [r for r in by_step[step] if r.truth is not None]
+        values: dict[str, float | None] = {}
+        counts: dict[str, int] = {}
+        if recs:
+            pred = np.array([r.predicted for r in recs])
+            truth = np.array([r.truth for r in recs])
+            values[ENTITY_RMSE] = entity_rmse(pred, truth)
+            counts[ENTITY_RMSE] = len(recs)
+            by_cluster: dict[int, list[PredictionRecord]] = {}
+            for r in recs:
+                by_cluster.setdefault(r.cluster_index, []).append(r)
+            proxy_pred = []
+            cluster_truth = []
+            for cluster in sorted(by_cluster):
+                members = by_cluster[cluster]
+                proxy_pred.append(members[0].predicted)
+                cluster_truth.append(float(np.mean([m.truth for m in members])))
+            values[CLUSTER_RMSE] = cluster_rmse(np.array(proxy_pred), np.array(cluster_truth))
+            counts[CLUSTER_RMSE] = len(by_cluster)
+            scored = [r for r in recs if r.previous is not None]
+            if len(scored) >= 10:
+                values[TOP_DECILE_F1] = top_decile_f1(
+                    np.array([r.previous for r in scored]),
+                    np.array([r.truth for r in scored]),
+                    np.array([r.predicted for r in scored]),
+                    entity_ids=np.array([r.entity_code for r in scored]),
+                )
+                counts[TOP_DECILE_F1] = len(scored)
+            values[TURNOVER_APE] = turnover_ape(pred, truth)
+            counts[TURNOVER_APE] = len(recs)
+        report.add_step(step, values, counts)
+    return report
+
+
+_BLOCKS = st.lists(
+    st.tuples(st.integers(0, 4),                                  # step; repeats add a block
+              st.lists(st.integers(1, 300), min_size=1, max_size=4),  # cluster sizes
+              st.booleans()),                                     # with previous outcomes
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=_BLOCKS, seed=st.integers(0, 2**32 - 1),
+       resolved_share=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+def test_compute_metrics_equals_record_by_record_scoring(blocks, seed, resolved_share):
+    rng = np.random.default_rng(seed)
+    ledger = EvaluationLedger()
+    model: list[PredictionRecord] = []
+    next_code = 0
+    for step, cluster_sizes, with_previous in blocks:
+        labels = rng.choice(1000, size=len(cluster_sizes), replace=False)
+        order = rng.permutation(sum(cluster_sizes))   # members of a cluster interleave
+        clusters = np.repeat(labels, cluster_sizes)[order]
+        sizes = np.repeat(cluster_sizes, cluster_sizes)[order]
+        codes = np.arange(next_code, next_code + len(clusters))
+        next_code += len(clusters)
+        scale = 10.0 ** rng.uniform(-3, 6)
+        predicted = rng.normal(size=len(codes)) * scale
+        previous = rng.normal(size=len(codes)) * scale if with_previous else None
+        ledger.add_predictions(step, codes, [f"e{c}" for c in codes], clusters, sizes,
+                               predicted, previous)
+        for i, code in enumerate(codes.tolist()):
+            model.append(PredictionRecord(
+                step, code, f"e{code}", int(clusters[i]), int(sizes[i]), float(predicted[i]),
+                None if previous is None else float(previous[i])))
+    truth_of = rng.normal(size=next_code) * 10.0 ** rng.uniform(-3, 6)
+    chosen = np.flatnonzero(rng.random(next_code) < resolved_share)
+    ledger.resolve_entities(rng.permutation(chosen), lambda c: truth_of[c])
+    whole_step = blocks[0][0] if rng.random() < 0.5 else None
+    if whole_step is not None:
+        ledger.resolve_step(whole_step, lambda c: truth_of[c])
+    chosen = set(chosen.tolist())
+    for r in model:
+        if r.entity_code in chosen or r.step == whole_step:
+            r.truth = float(truth_of[r.entity_code])
+
+    got, want = compute_metrics(ledger), _reference_metrics(model)
+    assert got.steps == want.steps
+    assert got.per_step == want.per_step
+    assert got.counts == want.counts
+
+
+def test_run_stream_builds_no_prediction_records(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_stream built a PredictionRecord")
+
+    shop_store = _shopper_store(n=80, horizon=12, seed=3)
+    paint_store, _ = _invoice_store(n=250, horizon=30.0, seed=4)
+    monkeypatch.setattr(pipeline, "PredictionRecord", forbidden)
+    runs = [
+        (shop_store, run_stream(shop_store, SupermarketUseCase(tau=3), 4, seed=0,
+                                steps=range(4, 11))),
+        (paint_store, run_stream(paint_store, PaintFactoryUseCase(), 10, seed=0)),
+    ]
+    monkeypatch.undo()
+    for store, run in runs:
+        cols = run.ledger.columns
+        rows = np.flatnonzero(cols["resolved"])
+        records = run.ledger.resolved_records()
+        assert len(records) == len(rows) > 0
+        for rec, row in zip(records, rows.tolist()):
+            assert rec.step == cols["step"][row]
+            assert rec.entity_code == cols["code"][row]
+            assert rec.entity_id == store.entity_ids[rec.entity_code]
+            assert rec.cluster_index == cols["cluster"][row]
+            assert rec.cluster_size == cols["size"][row]
+            assert rec.predicted == cols["predicted"][row]
+            assert rec.truth == cols["truth"][row]
+            want_previous = cols["previous"][row] if cols["has_previous"][row] else None
+            assert rec.previous == want_previous
