@@ -1,9 +1,13 @@
-"""Behaviour pin: four small runs must write the golden CSVs byte for byte.
+"""Behaviour pin: four small runs and one sweep must write the golden CSVs
+byte for byte.
 
-Each config goes through ``execute_run`` and ``write_run_outputs``; the
+Each run config goes through ``execute_run`` and ``write_run_outputs``; the
 run's ``results.csv``, ``summary.csv`` and ``steps.csv`` are compared with
-the files under ``tests/golden/<name>/``. ``manifest.json`` carries a
-timestamp and is not pinned.
+the files under ``tests/golden/<name>/``. The sweep goes through
+``execute_sweep``, serially and with two worker processes, and
+``write_sweep_outputs``; its ``results.csv``, ``summary.csv``, ``runs.csv``
+and metric pivots are compared with ``tests/golden/sweep-supermarket/``.
+``manifest.json`` carries a timestamp and is not pinned.
 
 The golden files change only on purpose. Regenerate them with
 
@@ -21,12 +25,16 @@ from pathlib import Path
 
 import pytest
 
+from proxystream.metrics import METRIC_NAMES
 from proxystream.sweep import (
     RunOutput,
     execute_run,
+    execute_sweep,
     run_config_from_dict,
     run_id_for,
+    sweep_config_from_dict,
     write_run_outputs,
+    write_sweep_outputs,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,18 +64,46 @@ CONFIGS = {
 }
 
 
+SWEEP_NAME = "sweep-supermarket"
+SWEEP = {
+    "base": {
+        "use_case": "supermarket", "tau": 3, "t_start": 4, "t_end": 12,
+        "generator": {"kind": "shopper", "n_entities": 300, "horizon": 12, "seed": 5},
+    },
+    "rhos": [1, 2],
+    "seeds": [0, 1],
+}
+SWEEP_FILES = ("results.csv", "summary.csv", "runs.csv",
+               *(f"pivot_{metric}.csv" for metric in METRIC_NAMES))
+
+
 def write_outputs(name: str, outdir: Path) -> None:
     cfg = run_config_from_dict(CONFIGS[name])
     write_run_outputs(outdir, RunOutput(run_id_for(cfg), cfg, result=execute_run(cfg)))
 
 
+def write_sweep(outdir: Path, jobs: int = 1) -> None:
+    sweep = sweep_config_from_dict(SWEEP)
+    write_sweep_outputs(outdir, execute_sweep(sweep, jobs=jobs), sweep)
+
+
+def assert_golden(name: str, outdir: Path, filenames) -> None:
+    for filename in filenames:
+        got = (outdir / filename).read_bytes()
+        want = (GOLDEN / name / filename).read_bytes()
+        assert got == want, f"{name}/{filename} differs from the golden file"
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_bytes(name, tmp_path):
     write_outputs(name, tmp_path)
-    for filename in PINNED_FILES:
-        got = (tmp_path / filename).read_bytes()
-        want = (GOLDEN / name / filename).read_bytes()
-        assert got == want, f"{name}/{filename} differs from the golden file"
+    assert_golden(name, tmp_path, PINNED_FILES)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_outputs_match_golden_bytes(jobs, tmp_path):
+    write_sweep(tmp_path, jobs=jobs)
+    assert_golden(SWEEP_NAME, tmp_path, SWEEP_FILES)
 
 
 def regenerate(argv=None) -> int:
@@ -81,8 +117,10 @@ def regenerate(argv=None) -> int:
         outdir = GOLDEN / name
         write_outputs(name, outdir)
         (outdir / "manifest.json").unlink()
+    write_sweep(GOLDEN / SWEEP_NAME)
+    (GOLDEN / SWEEP_NAME / "manifest.json").unlink()
     (GOLDEN / "REASON").write_text(args.reason.strip() + "\n")
-    print(f"wrote {len(CONFIGS)} golden runs under {GOLDEN}; "
+    print(f"wrote {len(CONFIGS)} golden runs and one sweep under {GOLDEN}; "
           "record the reason and the largest deviation in CHANGES.md")
     return 0
 
