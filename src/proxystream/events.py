@@ -104,114 +104,23 @@ class TimeWindow:
 class EventStore:
     """Frozen event collection with columnar access.
 
-    Events are stably sorted by time at construction (equal timestamps keep
-    input order) and the store is immutable afterwards. ``time_origin`` tags
-    the meaning of the time axis: ``"epoch_days"`` for absolute calendar time
+    A store is built from columns: event times, entity codes into
+    ``entity_ids`` and activity codes into ``alphabet``, plus one stored-float
+    column per declared event attribute (one value per event) and per declared
+    entity attribute (one value per entity id). The columns are copied and
+    stably sorted by time (equal timestamps keep input order), and the store
+    is immutable afterwards. Entity codes are kept as given; the CSV loader
+    numbers entities by first appearance in time. ``time_origin`` tags the
+    meaning of the time axis: ``"epoch_days"`` for absolute calendar time
     (days since the Unix epoch, UTC), ``None`` for relative step counts as
     produced by the synthetic generators.
     """
 
     def __init__(
         self,
-        events: Sequence[Event],
-        *,
-        alphabet: Sequence[str] | None = None,
-        event_schema: Sequence[AttributeField] = (),
-        entity_schema: Sequence[AttributeField] = (),
-        entity_attributes: Mapping[Any, Mapping[str, Any]] | None = None,
-        time_origin: str | None = None,
-    ) -> None:
-        times = np.array([e.time for e in events], dtype=float)
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-
-        acts = [events[i].activity for i in order]
-        if alphabet is None:
-            alphabet = tuple(sorted(set(acts)))
-        else:
-            alphabet = tuple(alphabet)
-            if len(set(alphabet)) != len(alphabet):
-                raise SchemaError("alphabet contains duplicate labels")
-        act_index = {a: i for i, a in enumerate(alphabet)}
-        try:
-            act_codes = np.array([act_index[a] for a in acts], dtype=np.int64)
-        except KeyError as exc:
-            raise SchemaError(f"activity {exc.args[0]!r} not in alphabet") from None
-
-        # Entity codes follow first appearance in time order; deterministic and
-        # independent of the id type (ids need not be mutually sortable).
-        ent_index: dict[Any, int] = {}
-        ent_codes = np.empty(len(events), dtype=np.int64)
-        for row, i in enumerate(order):
-            eid = events[i].entity_id
-            code = ent_index.setdefault(eid, len(ent_index))
-            ent_codes[row] = code
-        entity_ids = list(ent_index)
-
-        event_schema = tuple(event_schema)
-        declared = {f.name for f in event_schema}
-        event_attrs = {f.name: np.empty(len(events), dtype=float) for f in event_schema}
-        for row, i in enumerate(order):
-            attrs = events[i].attributes
-            extra = set(attrs) - declared
-            if extra:
-                raise SchemaError(f"event {i} carries undeclared attributes {sorted(extra)}")
-            for f in event_schema:
-                if f.name not in attrs:
-                    raise SchemaError(f"event {i} missing attribute {f.name!r}")
-                event_attrs[f.name][row] = f.encode(attrs[f.name])
-
-        entity_schema = tuple(entity_schema)
-        entity_attrs: dict[str, np.ndarray] = {}
-        if entity_schema:
-            if entity_attributes is None:
-                raise SchemaError("entity_schema declared but no entity attributes given")
-            for f in entity_schema:
-                col = np.empty(len(entity_ids), dtype=float)
-                for code, eid in enumerate(entity_ids):
-                    try:
-                        col[code] = f.encode(entity_attributes[eid][f.name])
-                    except KeyError:
-                        raise SchemaError(
-                            f"entity {eid!r} missing attribute {f.name!r}"
-                        ) from None
-                entity_attrs[f.name] = col
-
-        self._init_arrays(
-            times, ent_codes, act_codes, entity_ids, alphabet,
-            event_schema, event_attrs, entity_schema, entity_attrs, time_origin,
-        )
-
-    def _init_arrays(self, times, ent_codes, act_codes, entity_ids, alphabet,
-                     event_schema, event_attrs, entity_schema, entity_attrs,
-                     time_origin) -> None:
-        self._times = times
-        self._ent_codes = ent_codes
-        self._act_codes = act_codes
-        self._entity_ids = list(entity_ids)
-        self._alphabet = tuple(alphabet)
-        self._event_schema = tuple(event_schema)
-        self._event_attrs = dict(event_attrs)
-        self._entity_schema = tuple(entity_schema)
-        self._entity_attrs = dict(entity_attrs)
-        self._time_origin = time_origin
-        for arr in (self._times, self._ent_codes, self._act_codes, *self._event_attrs.values(),
-                    *self._entity_attrs.values()):
-            arr.setflags(write=False)
-        if len(times) and times[0] < 0:
-            raise ValueError("event times must be >= 0")
-        n = len(self._entity_ids)
-        first = np.full(n, np.inf)
-        np.minimum.at(first, ent_codes, times)
-        first.setflags(write=False)
-        self._first_times = first
-
-    @classmethod
-    def from_arrays(
-        cls,
-        times: np.ndarray,
-        entity_codes: np.ndarray,
-        activity_codes: np.ndarray,
+        times: Sequence[float] | np.ndarray,
+        entity_codes: Sequence[int] | np.ndarray,
+        activity_codes: Sequence[int] | np.ndarray,
         entity_ids: Sequence[Any],
         alphabet: Sequence[str],
         *,
@@ -220,35 +129,38 @@ class EventStore:
         entity_schema: Sequence[AttributeField] = (),
         entity_attrs: Mapping[str, np.ndarray] | None = None,
         time_origin: str | None = None,
-    ) -> "EventStore":
-        """Columnar fast path used by generators and the loader.
-
-        Arrays are copied, then stably sorted by time here; entity and
-        activity codes must already index into ``entity_ids`` / ``alphabet``.
-        """
+    ) -> None:
         times = np.asarray(times, dtype=float)
         ent_codes = np.asarray(entity_codes, dtype=np.int64)
         act_codes = np.asarray(activity_codes, dtype=np.int64)
-        if act_codes.size and (act_codes.min() < 0 or act_codes.max() >= len(alphabet)):
-            raise SchemaError("activity code out of range")
-        if ent_codes.size and (ent_codes.min() < 0 or ent_codes.max() >= len(entity_ids)):
-            raise SchemaError("entity code out of range")
+        self._entity_ids = list(entity_ids)
+        self._alphabet = tuple(alphabet)
+        self._event_schema = tuple(event_schema)
+        self._entity_schema = tuple(entity_schema)
+        self._time_origin = time_origin
+        if len(set(self._alphabet)) != len(self._alphabet):
+            raise SchemaError("alphabet contains duplicate labels")
+        for name, codes, size in (("entity", ent_codes, len(self._entity_ids)),
+                                  ("activity", act_codes, len(self._alphabet))):
+            if codes.shape != times.shape:
+                raise SchemaError(
+                    f"{name} code column has length {len(codes)}, expected {len(times)}")
+            if codes.size and (codes.min() < 0 or codes.max() >= size):
+                raise SchemaError(f"{name} code out of range")
         order = np.argsort(times, kind="stable")
-        store = cls.__new__(cls)
-        event_attrs = event_attrs or {}
-        store._init_arrays(
-            times[order],
-            ent_codes[order],
-            act_codes[order],
-            list(entity_ids),
-            tuple(alphabet),
-            tuple(event_schema),
-            {k: np.asarray(v, dtype=float)[order] for k, v in event_attrs.items()},
-            tuple(entity_schema),
-            {k: np.asarray(v, dtype=float).copy() for k, v in (entity_attrs or {}).items()},
-            time_origin,
-        )
-        return store
+        self._times = times[order]
+        self._ent_codes = ent_codes[order]
+        self._act_codes = act_codes[order]
+        if len(times) and self._times[0] < 0:
+            raise ValueError("event times must be >= 0")
+        self._event_attrs = _attribute_columns("event", self._event_schema, event_attrs, order)
+        self._entity_attrs = _attribute_columns(
+            "entity", self._entity_schema, entity_attrs, np.arange(len(self._entity_ids)))
+        self._first_times = np.full(len(self._entity_ids), np.inf)
+        np.minimum.at(self._first_times, self._ent_codes, self._times)
+        for arr in (self._times, self._ent_codes, self._act_codes, self._first_times,
+                    *self._event_attrs.values(), *self._entity_attrs.values()):
+            arr.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -341,6 +253,24 @@ class EventStore:
         """Sorted entity codes of entities with at least one event in window."""
         lo, hi = self.window_bounds(window)
         return np.unique(self._ent_codes[lo:hi])
+
+
+def _attribute_columns(kind: str, schema: tuple[AttributeField, ...],
+                       columns: Mapping[str, Any] | None, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """One float column per declared field, checked for length and taken at ``rows``."""
+    columns = columns or {}
+    declared = [f.name for f in schema]
+    if set(columns) != set(declared):
+        raise SchemaError(f"{kind} attribute columns {sorted(columns)} differ from the "
+                          f"declared {declared}")
+    out = {}
+    for name in declared:
+        col = np.asarray(columns[name], dtype=float)
+        if col.shape != rows.shape:
+            raise SchemaError(
+                f"{kind} attribute {name!r} has length {len(col)}, expected {len(rows)}")
+        out[name] = col[rows]
+    return out
 
 
 def frequencies_from_codes(codes: np.ndarray, n_labels: int) -> np.ndarray:

@@ -151,7 +151,7 @@ def filter_invoice_cases(
     declared = {f.name for f in store.entity_schema}
     kept_fields = tuple(f for f in store.entity_schema if f.name in set(keep_attributes) & declared)
 
-    filtered = EventStore.from_arrays(
+    filtered = EventStore(
         store.times[row_mask],
         recode[store.entity_codes[row_mask]],
         act_recode[kept_act],

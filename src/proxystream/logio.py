@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -85,11 +86,12 @@ def days_to_iso(days: float) -> str:
 
 def _parse_time(raw: str, fmt: str, row: int) -> float:
     try:
-        if fmt == "iso8601":
-            return parse_iso_to_days(raw)
-        return float(raw)
+        stamp = parse_iso_to_days(raw) if fmt == "iso8601" else float(raw)
     except (ValueError, TypeError):
         raise SchemaError(f"row {row}: cannot parse timestamp {raw!r}") from None
+    if not math.isfinite(stamp):
+        raise SchemaError(f"row {row}: timestamp {raw!r} is not finite")
+    return stamp
 
 
 def _scan_categories(path: Path, schema: LogSchema) -> dict[str, set[str]]:
@@ -182,8 +184,8 @@ def read_event_log(path: str | Path, schema: LogSchema) -> EventStore:
     times_arr = np.asarray(times, dtype=float)
     codes_arr = np.asarray(ent_codes, dtype=np.int64)
     n_ent = len(ent_index)
-    # Renumber entities by first appearance in time order (the EventStore
-    # convention) so the row order of the file cannot leak into entity codes.
+    # Renumber entities by first appearance in time order so the row order
+    # of the file cannot leak into entity codes.
     order = np.argsort(times_arr, kind="stable")
     first_pos = np.full(n_ent, len(order), dtype=np.int64)
     np.minimum.at(first_pos, codes_arr[order], np.arange(len(order)))
@@ -192,7 +194,7 @@ def read_event_log(path: str | Path, schema: LogSchema) -> EventStore:
     remap[old_in_new_order] = np.arange(n_ent)
     ids_in_file_order = list(ent_index)
 
-    return EventStore.from_arrays(
+    return EventStore(
         times_arr,
         remap[codes_arr],
         act_codes,

@@ -17,7 +17,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,43 +271,50 @@ class RunOutput:
     error: str | None = None
 
 
-def _execute_for_pool(cfg: RunConfig) -> RunOutput:
+def _run_config(cfg: RunConfig, store) -> RunOutput:
+    """Run one grid point against the sweep's store; a failure becomes its error."""
+    run_id = run_id_for(cfg)
     try:
-        return RunOutput(run_id_for(cfg), cfg, result=execute_run(cfg))
+        result = execute_run(cfg, store=store)
     except Exception:
-        return RunOutput(run_id_for(cfg), cfg, error=traceback.format_exc())
+        logger.exception("run %s failed", run_id)
+        return RunOutput(run_id, cfg, error=traceback.format_exc())
+    logger.info("run %s done", run_id)
+    return RunOutput(run_id, cfg, result=result)
+
+
+_worker_store = None  # the sweep's store in a pool worker, set once per process
+
+
+def _set_worker_store(store) -> None:
+    global _worker_store
+    _worker_store = store
+
+
+def _run_in_worker(cfg: RunConfig) -> RunOutput:
+    return _run_config(cfg, _worker_store)
 
 
 def execute_sweep(sweep: SweepConfig, jobs: int = 1) -> list[RunOutput]:
     """Run every grid point; failures are recorded, not raised.
 
-    With jobs == 1 the store for each distinct data source is loaded once
-    and shared across its runs; with more jobs each worker process loads
-    its own copy.
+    The grid varies only rho, tau and seed, so the store is loaded once from
+    the base config and shared by every run. With jobs > 1 each worker
+    process receives it once, when the worker starts. If the load fails,
+    every run is recorded as failed with the load's traceback.
     """
     configs = expand_grid(sweep)
+    try:
+        store = load_store_for(sweep.base)
+    except Exception:
+        logger.exception("loading the sweep's store failed")
+        error = traceback.format_exc()
+        return [RunOutput(run_id_for(cfg), cfg, error=error) for cfg in configs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_execute_for_pool, configs))
-
-    outputs: list[RunOutput] = []
-    stores: dict[str, Any] = {}
-    for cfg in configs:
-        source = json.dumps(
-            {"events": cfg.events, "generator": cfg.generator,
-             "use_case": cfg.use_case, "filter": cfg.filter_cases},
-            sort_keys=True)
-        run_id = run_id_for(cfg)
-        try:
-            if source not in stores:
-                stores[source] = load_store_for(cfg)
-            result = execute_run(cfg, store=stores[source])
-            outputs.append(RunOutput(run_id, cfg, result=result))
-            logger.info("run %s done", run_id)
-        except Exception:
-            outputs.append(RunOutput(run_id, cfg, error=traceback.format_exc()))
-            logger.exception("run %s failed", run_id)
-    return outputs
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_store,
+                                 initargs=(store,)) as pool:
+            return list(pool.map(_run_in_worker, configs))
+    return [_run_config(cfg, store) for cfg in configs]
 
 
 # -- output files ----------------------------------------------------------

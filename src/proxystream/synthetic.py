@@ -261,7 +261,7 @@ def generate_shopper_stream(spec: ShopperStreamSpec) -> tuple[EventStore, Shoppe
         attr_parts["total_value"].append(value)
         attr_parts["total_item_count"].append(n_items)
 
-    store = EventStore.from_arrays(
+    store = EventStore(
         np.concatenate(times_parts),
         np.concatenate(ents_parts),
         np.concatenate(acts_parts),
@@ -493,7 +493,7 @@ def generate_invoice_stream(spec: InvoiceStreamSpec) -> tuple[EventStore, Invoic
             alt = np.where(alt >= codes, alt + 1, alt)
             entity_attrs[f.name] = np.where(take_pref, codes, alt).astype(float)
 
-    store = EventStore.from_arrays(
+    store = EventStore(
         times, ents, acts, list(range(n)), alphabet,
         entity_schema=schema,
         entity_attrs=entity_attrs,

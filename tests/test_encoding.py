@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import store_from_events
 
 from proxystream.encoding import (
     JOURNEY_AGGREGATE_ROWS,
@@ -37,7 +38,7 @@ def _visit(ent, label, t, freshness, item_value, density, total, items):
 
 
 def _shopper_store(events) -> EventStore:
-    return EventStore(events, alphabet=ALPHABET, event_schema=SHOPPER_EVENT_SCHEMA)
+    return store_from_events(events, alphabet=ALPHABET, event_schema=SHOPPER_EVENT_SCHEMA)
 
 
 def _journey(store: EventStore, entity_id, window_end: float, n_weeks: int) -> np.ndarray:
@@ -210,7 +211,7 @@ def test_one_hot_width_synthetic_is_49():
 def test_one_hot_width_with_forty_labels_is_81():
     schema = invoice_entity_schema()
     alphabet = tuple(f"act_{i:02d}" for i in range(40))
-    store = EventStore.from_arrays(
+    store = EventStore(
         np.array([0.0]), np.array([0]), np.array([0]), ["c0"], alphabet,
         entity_schema=schema,
         entity_attrs={f.name: np.array([0.0]) for f in schema},
@@ -227,7 +228,7 @@ def test_prefix_counts_are_strictly_before_creation():
         Event("a", RIR_LABEL, 3.0),
         Event("b", "prep", 0.5),
     ]
-    store = EventStore(events, alphabet=("prep", RIR_LABEL, VCI_LABEL))
+    store = store_from_events(events, alphabet=("prep", RIR_LABEL, VCI_LABEL))
     creation = np.array([2.0, np.inf])
     counts = prefix_label_counts(store, creation)
     assert counts.shape == (2, 3)
@@ -275,7 +276,7 @@ def test_invoice_onehot_indicators():
 
 def test_zero_prefix_entity_encodes_to_zero_frequencies():
     events = [Event("a", VCI_LABEL, 1.0), Event("a", RIR_LABEL, 2.0)]
-    store = EventStore(events, alphabet=(RIR_LABEL, VCI_LABEL))
+    store = store_from_events(events, alphabet=(RIR_LABEL, VCI_LABEL))
     enc = invoice_encoding(store, np.array([0]))
     assert np.array_equal(enc.mixed[0, :2], [0.0, 0.0])
     assert not np.isnan(enc.mixed).any()

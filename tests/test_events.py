@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import store_from_events
 
 from proxystream.events import (
     BOOLEAN,
@@ -72,11 +73,7 @@ def test_window_requires_positive_length():
 
 
 def test_window_slice_excludes_right_edge():
-    store = EventStore([
-        Event("a", "visit", 1.0),
-        Event("b", "visit", 1.9),
-        Event("c", "visit", 2.0),
-    ])
+    store = EventStore([1.0, 1.9, 2.0], [0, 1, 2], [0, 0, 0], ["a", "b", "c"], ("visit",))
     lo, hi = store.window_bounds(TimeWindow(1.0, 2.0))
     assert [store.event_at(row).time for row in range(lo, hi)] == [1.0, 1.9]
 
@@ -84,15 +81,20 @@ def test_window_slice_excludes_right_edge():
 # -- stores ----------------------------------------------------------------
 
 def _tiny_store() -> EventStore:
-    schema = (AttributeField("value", NUMERIC),)
-    return EventStore(
-        [
-            Event("b", "visit", 3.0, {"value": 30.0}),
-            Event("a", "visit", 1.0, {"value": 10.0}),
-            Event("a", "pay", 2.0, {"value": 20.0}),
-        ],
-        event_schema=schema,
-    )
+    """"a" visits at t=1 and pays at t=2, "b" visits at t=3; given out of time order."""
+    return EventStore([1.0, 3.0, 2.0], [0, 1, 0], [1, 1, 0], ["a", "b"], ("pay", "visit"),
+                      event_schema=(AttributeField("value", NUMERIC),),
+                      event_attrs={"value": [10.0, 30.0, 20.0]})
+
+
+def _columns(**overrides) -> dict:
+    """Constructor arguments of a valid two-event store, with overrides."""
+    return {"times": np.array([2.0, 1.0]), "entity_codes": np.array([0, 1]),
+            "activity_codes": np.array([1, 0]), "entity_ids": ["x", "y"],
+            "alphabet": ("pay", "visit"), "event_schema": (AttributeField("value", NUMERIC),),
+            "event_attrs": {"value": np.array([20.0, 10.0])},
+            "entity_schema": (AttributeField("vip", BOOLEAN),),
+            "entity_attrs": {"vip": np.array([1.0, 0.0])}, **overrides}
 
 
 def test_store_sorts_by_time():
@@ -103,29 +105,26 @@ def test_store_sorts_by_time():
 
 def test_store_sort_is_stable():
     events = [Event("a", "visit", 1.0, {"value": float(i)}) for i in range(5)]
-    store = EventStore(events, event_schema=(AttributeField("value", NUMERIC),))
+    store = store_from_events(events, event_schema=(AttributeField("value", NUMERIC),))
     assert np.array_equal(store.event_attribute("value"), np.arange(5.0))
 
 
-def test_entity_codes_follow_first_appearance_in_time():
-    store = _tiny_store()
-    # "a" appears first at t=1 even though "b" came first in the input list
-    assert store.entity_ids == ["a", "b"]
-    assert np.array_equal(store.entity_codes, [0, 0, 1])
-    assert store.entity_code("b") == 1
+def test_entity_codes_are_kept_as_given():
+    store = EventStore([1.0, 0.0], [0, 1], [0, 0], ["late", "early"], ("visit",))
+    assert store.entity_ids == ["late", "early"]
+    assert np.array_equal(store.entity_codes, [1, 0])
+    assert store.entity_code("early") == 1
     with pytest.raises(KeyError):
         store.entity_code("nobody")
 
 
-def test_alphabet_defaults_to_sorted_labels():
-    assert _tiny_store().alphabet == ("pay", "visit")
-
-
 def test_explicit_alphabet_is_validated():
-    with pytest.raises(SchemaError):
-        EventStore([Event("a", "visit", 0.0)], alphabet=("pay",))
-    with pytest.raises(SchemaError):
-        EventStore([Event("a", "visit", 0.0)], alphabet=("visit", "visit"))
+    for overrides in ({"alphabet": ("pay",)},
+                      {"alphabet": ("pay", "pay")},
+                      {"activity_codes": np.array([-1, 0])},
+                      {"activity_codes": np.array([5, 0])}):
+        with pytest.raises(SchemaError):
+            EventStore(**_columns(**overrides))
 
 
 def test_store_arrays_are_frozen():
@@ -137,29 +136,26 @@ def test_store_arrays_are_frozen():
 
 
 def test_event_attribute_schema_enforced():
-    schema = (AttributeField("value", NUMERIC),)
-    with pytest.raises(SchemaError):
-        EventStore([Event("a", "visit", 0.0)], event_schema=schema)  # missing
-    with pytest.raises(SchemaError):
-        EventStore(
-            [Event("a", "visit", 0.0, {"value": 1.0, "extra": 2.0})],
-            event_schema=schema,
-        )
+    for event_attrs in ({},  # declared, no column
+                        None,
+                        {"value": np.array([20.0, 10.0]), "extra": np.array([0.0, 0.0])}):
+        with pytest.raises(SchemaError):
+            EventStore(**_columns(event_attrs=event_attrs))
 
 
 def test_entity_attributes_are_per_entity():
     schema = (AttributeField("tier", CATEGORICAL, ("basic", "plus")),)
-    store = EventStore(
+    store = store_from_events(
         [Event("a", "visit", 0.0), Event("b", "visit", 1.0), Event("a", "visit", 2.0)],
         entity_schema=schema,
         entity_attributes={"a": {"tier": "plus"}, "b": {"tier": "basic"}},
     )
     assert np.array_equal(store.entity_attribute("tier"), [1.0, 0.0])
-    with pytest.raises(SchemaError):
-        EventStore([Event("a", "visit", 0.0)], entity_schema=schema)
-    with pytest.raises(SchemaError):
-        EventStore([Event("a", "visit", 0.0)], entity_schema=schema,
-                   entity_attributes={"a": {}})
+    for entity_attrs in ({},  # declared, no column
+                         None,
+                         {"vip": np.array([1.0, 0.0]), "extra": np.array([0.0, 0.0])}):
+        with pytest.raises(SchemaError):
+            EventStore(**_columns(entity_attrs=entity_attrs))
 
 
 def test_event_at_round_trips_attributes():
@@ -182,23 +178,39 @@ def test_first_times_and_entities_in_window():
     ]
 
 
-def test_from_arrays_sorts_and_validates():
-    store = EventStore.from_arrays(
-        np.array([2.0, 1.0]), np.array([0, 1]), np.array([1, 0]),
-        ["x", "y"], ("pay", "visit"),
-    )
+def test_store_sorts_columns_and_validates_codes():
+    kwargs = _columns()
+    store = EventStore(**kwargs)
     assert np.array_equal(store.times, [1.0, 2.0])
     assert np.array_equal(store.entity_codes, [1, 0])
+    assert np.array_equal(store.activity_codes, [0, 1])
+    assert np.array_equal(store.event_attribute("value"), [10.0, 20.0])
+    assert np.array_equal(store.entity_attribute("vip"), [1.0, 0.0])  # per entity, unsorted
+    assert kwargs["times"].flags.writeable  # the store froze copies, not the inputs
+    assert kwargs["entity_attrs"]["vip"].flags.writeable
     with pytest.raises(SchemaError):
-        EventStore.from_arrays(np.array([0.0]), np.array([0]), np.array([5]),
-                               ["x"], ("pay",))
-    with pytest.raises(SchemaError):
-        EventStore.from_arrays(np.array([0.0]), np.array([3]), np.array([0]),
-                               ["x"], ("pay",))
+        EventStore(**_columns(entity_codes=np.array([0, 3])))
+    with pytest.raises(ValueError):
+        EventStore(**_columns(times=np.array([-1.0, 1.0])))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"times": np.array([2.0, 1.0, 0.0])},
+    {"entity_codes": np.array([0])},
+    {"activity_codes": np.array([1, 0, 0])},
+    {"event_attrs": {"value": np.array([20.0])}},
+    {"event_attrs": {"value": np.array([20.0, 10.0, 0.0])}},
+    {"entity_attrs": {"vip": np.array([1.0])}},
+    {"entity_attrs": {"vip": np.array([1.0, 0.0, 1.0])}},
+], ids=["times-long", "entity-codes-short", "activity-codes-long", "event-attr-short",
+        "event-attr-long", "entity-attr-short", "entity-attr-long"])
+def test_store_rejects_columns_of_the_wrong_length(overrides):
+    with pytest.raises(SchemaError, match="length"):
+        EventStore(**_columns(**overrides))
 
 
 def test_empty_store():
-    store = EventStore([])
+    store = store_from_events([])
     assert len(store) == 0
     assert store.alphabet == ()
     assert store.entity_count == 0
@@ -207,27 +219,17 @@ def test_empty_store():
 
 # -- activity frequencies --------------------------------------------------
 
-def _store_frequencies(events, alphabet) -> np.ndarray:
-    """Label frequencies of ``events`` through a store's activity codes."""
-    store = EventStore(events, alphabet=alphabet)
-    return frequencies_from_codes(store.activity_codes, len(store.alphabet))
-
-
 def test_activity_frequencies_fixture():
-    events = [Event("e", "a", 0.0), Event("e", "a", 1.0), Event("e", "b", 2.0)]
-    got = _store_frequencies(events, ("a", "b", "c"))
+    got = frequencies_from_codes(np.array([0, 0, 1]), 3)
     assert np.allclose(got, [2 / 3, 1 / 3, 0.0])
     assert got.sum() == pytest.approx(1.0)
 
 
 def test_activity_frequencies_empty_is_zero():
-    assert np.array_equal(_store_frequencies([], ("a", "b")), [0.0, 0.0])
     assert np.array_equal(frequencies_from_codes(np.array([], dtype=int), 2), [0.0, 0.0])
 
 
 def test_activity_frequencies_rejects_unknown_label():
-    with pytest.raises(SchemaError):
-        _store_frequencies([Event("e", "z", 0.0)], ("a", "b"))
     for code in (-1, 2):
         with pytest.raises(SchemaError):
             frequencies_from_codes(np.array([0, code]), 2)
@@ -235,11 +237,9 @@ def test_activity_frequencies_rejects_unknown_label():
 
 def test_frequencies_sum_to_one():
     rng = np.random.default_rng(7)
-    alphabet = tuple("abcde")
     for _ in range(20):
         codes = rng.integers(0, 5, rng.integers(1, 40))
-        events = [Event("e", alphabet[c], float(i)) for i, c in enumerate(codes)]
-        freq = _store_frequencies(events, alphabet)
+        freq = frequencies_from_codes(codes, 5)
         assert freq.sum() == pytest.approx(1.0)
         assert (freq >= 0).all()
         assert np.allclose(freq, np.bincount(codes, minlength=5) / len(codes))

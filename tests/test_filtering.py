@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import store_from_events
 
 from proxystream.events import (
     CATEGORICAL,
@@ -41,7 +42,7 @@ def _five_case_store() -> EventStore:
         + _case("swap", 30.0, RIR_LABEL, VCI_LABEL)
         + _case("keep3", 40.0, VCI_LABEL, RIR_LABEL)
     )
-    return EventStore(events)
+    return store_from_events(events)
 
 
 def test_five_case_fixture_keeps_three():
@@ -67,7 +68,7 @@ def test_kept_alphabet_is_sorted_surviving_labels():
 
 
 def test_missing_milestone_counts_as_multiplicity():
-    store = EventStore(_case("a", 0.0, VCI_LABEL) + _case("b", 1.0, RIR_LABEL, VCI_LABEL))
+    store = store_from_events(_case("a", 0.0, VCI_LABEL) + _case("b", 1.0, RIR_LABEL, VCI_LABEL))
     _, report = filter_invoice_cases(store)
     assert report.cases_kept == 0
     assert report.cases_dropped_by_rule[RULE_MULTIPLICITY] == 1
@@ -76,7 +77,7 @@ def test_missing_milestone_counts_as_multiplicity():
 
 def test_rule_precedence_multiplicity_before_order():
     # fails both rules; must be counted against multiplicity only
-    store = EventStore(_case("x", 0.0, RIR_LABEL, VCI_LABEL, VCI_LABEL))
+    store = store_from_events(_case("x", 0.0, RIR_LABEL, VCI_LABEL, VCI_LABEL))
     _, report = filter_invoice_cases(store)
     assert report.cases_dropped_by_rule == {
         RULE_MULTIPLICITY: 1,
@@ -86,7 +87,7 @@ def test_rule_precedence_multiplicity_before_order():
 
 
 def test_simultaneous_milestones_fail_order():
-    store = EventStore([Event("t", VCI_LABEL, 5.0), Event("t", RIR_LABEL, 5.0)])
+    store = store_from_events([Event("t", VCI_LABEL, 5.0), Event("t", RIR_LABEL, 5.0)])
     _, report = filter_invoice_cases(store)
     assert report.cases_dropped_by_rule[RULE_ORDER] == 1
 
@@ -101,7 +102,7 @@ def test_date_window_defaults_to_2018_for_absolute_stores():
         + [Event("late", VCI_LABEL, end - 1.0), Event("late", RIR_LABEL, end)]
         + _case("early", start - 5.0, VCI_LABEL, RIR_LABEL)
     )
-    store = EventStore(events, time_origin="epoch_days")
+    store = store_from_events(events, time_origin="epoch_days")
     filtered, report = filter_invoice_cases(store)
     assert filtered.entity_ids == ["edge", "inside"]
     assert report.cases_dropped_by_rule[RULE_DATE_RANGE] == 2
@@ -134,7 +135,7 @@ def test_entity_attributes_reduced_to_analysis_set():
         AttributeField("Company", CATEGORICAL, ("acme", "zenith")),
         AttributeField("Clerk", CATEGORICAL, ("ann", "bob")),  # not an analysis column
     )
-    store = EventStore(
+    store = store_from_events(
         _case("a", 0.0, VCI_LABEL, RIR_LABEL) + _case("b", 1.0, VCI_LABEL, RIR_LABEL),
         entity_schema=schema,
         entity_attributes={
@@ -170,7 +171,7 @@ def test_invoice_schema_declares_eight_attributes():
 
 
 def test_label_times_first_occurrence_and_inf():
-    store = EventStore(
+    store = store_from_events(
         [
             Event("a", VCI_LABEL, 3.0),
             Event("a", VCI_LABEL, 1.0),

@@ -1,12 +1,11 @@
 """Behaviour pin: four small runs and one sweep must write the golden CSVs
 byte for byte.
 
-Each run config goes through ``execute_run`` and ``write_run_outputs``; the
-run's ``results.csv``, ``summary.csv`` and ``steps.csv`` are compared with
-the files under ``tests/golden/<name>/``. The sweep goes through
-``execute_sweep``, serially and with two worker processes, and
-``write_sweep_outputs``; its ``results.csv``, ``summary.csv``, ``runs.csv``
-and metric pivots are compared with ``tests/golden/sweep-supermarket/``.
+Each run config goes through ``execute_run`` and ``write_run_outputs``, and its
+``results.csv``, ``summary.csv`` and ``steps.csv`` must equal the files under
+``tests/golden/<name>/``. The sweep goes through ``execute_sweep``, serially and
+with two worker processes, and ``write_sweep_outputs``; its ``results.csv``,
+``summary.csv``, ``runs.csv`` and pivots must equal ``tests/golden/sweep-supermarket/``.
 ``manifest.json`` carries a timestamp and is not pinned.
 
 The golden files change only on purpose. Regenerate them with
@@ -65,16 +64,10 @@ CONFIGS = {
 
 
 SWEEP_NAME = "sweep-supermarket"
-SWEEP = {
-    "base": {
-        "use_case": "supermarket", "tau": 3, "t_start": 4, "t_end": 12,
-        "generator": {"kind": "shopper", "n_entities": 300, "horizon": 12, "seed": 5},
-    },
-    "rhos": [1, 2],
-    "seeds": [0, 1],
-}
-SWEEP_FILES = ("results.csv", "summary.csv", "runs.csv",
-               *(f"pivot_{metric}.csv" for metric in METRIC_NAMES))
+SWEEP = {"base": {"use_case": "supermarket", "tau": 3, "t_start": 4, "t_end": 12,
+                  "generator": {"kind": "shopper", "n_entities": 300, "horizon": 12, "seed": 5}},
+         "rhos": [1, 2], "seeds": [0, 1]}
+SWEEP_FILES = ("results.csv", "summary.csv", "runs.csv", *(f"pivot_{m}.csv" for m in METRIC_NAMES))
 
 
 def write_outputs(name: str, outdir: Path) -> None:

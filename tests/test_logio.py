@@ -8,7 +8,6 @@ from proxystream.events import (
     CATEGORICAL,
     NUMERIC,
     AttributeField,
-    Event,
     EventStore,
     SchemaError,
 )
@@ -62,6 +61,28 @@ def test_read_numeric_log(tmp_path):
     assert store.entity_ids == ["b", "a"]
     assert store.alphabet == ("pay", "visit")
     assert store.time_origin is None
+
+
+def test_entity_codes_follow_first_appearance_in_time(tmp_path):
+    # file order c, a, b, a; time order a (t=1), b (t=2), c (t=3), a (t=5)
+    p = _write(tmp_path, "entity_id,activity,timestamp,region\n"
+               "c,visit,3,south\n" "a,visit,5,north\n" "b,pay,2,south\n" "a,pay,1,north\n")
+    schema = LogSchema(entity_attributes=(ColumnSpec("region", CATEGORICAL, None),))
+    store = read_event_log(p, schema)
+    assert store.entity_ids == ["a", "b", "c"]
+    assert np.array_equal(store.entity_codes, [0, 1, 2, 0])
+    assert np.array_equal(store.first_times, [1.0, 2.0, 3.0])
+    assert np.array_equal(store.entity_attribute("region"), [0.0, 1.0, 1.0])
+    assert store.entity_code("c") == 2
+    with pytest.raises(KeyError):
+        store.entity_code("nobody")
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_non_finite_timestamps_are_rejected(tmp_path, stamp):
+    p = _write(tmp_path, f"entity_id,activity,timestamp\na,visit,1\nb,visit,{stamp}\n")
+    with pytest.raises(SchemaError, match="row 3"):
+        read_event_log(p, LogSchema())
 
 
 def test_read_iso_log_sets_epoch_days_origin(tmp_path):
@@ -130,13 +151,10 @@ def test_missing_file_raises_file_not_found(tmp_path):
 
 def _attr_store() -> EventStore:
     return EventStore(
-        [
-            Event("a", "visit", 0.125, {"amount": 1 / 3}),
-            Event("b", "pay", 2.75, {"amount": 0.1}),
-        ],
-        event_schema=(AttributeField("amount", NUMERIC),),
+        [0.125, 2.75], [0, 1], [1, 0], ["a", "b"], ("pay", "visit"),
+        event_schema=(AttributeField("amount", NUMERIC),), event_attrs={"amount": [1 / 3, 0.1]},
         entity_schema=(AttributeField("region", CATEGORICAL, ("north", "south")),),
-        entity_attributes={"a": {"region": "south"}, "b": {"region": "north"}},
+        entity_attrs={"region": [1.0, 0.0]},  # a is south, b is north
     )
 
 

@@ -228,7 +228,7 @@ def test_no_lookahead_in_predictions():
 
     from proxystream.events import EventStore  # local import to build a truncation
     mask = store.times < t_last
-    truncated = EventStore.from_arrays(
+    truncated = EventStore(
         store.times[mask], store.entity_codes[mask], store.activity_codes[mask],
         store.entity_ids, store.alphabet,
         event_schema=store.event_schema,

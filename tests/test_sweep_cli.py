@@ -288,19 +288,38 @@ def test_sweep_records_failures_and_continues(
     assert all(row[4] == "0" for row in results[1:])  # only the good seed
 
 
-def test_sweep_shares_store_across_grid_points(monkeypatch: pytest.MonkeyPatch) -> None:
-    loads = []
+def test_sweep_shares_store_across_grid_points(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
     real_load = sweep_mod.load_store_for
 
     def counting(cfg: RunConfig):
-        loads.append(run_id_for(cfg))
+        # a file, not a list, so loads inside worker processes count too
+        with log.open("a") as fh:
+            fh.write(run_id_for(cfg) + "\n")
         return real_load(cfg)
 
     monkeypatch.setattr(sweep_mod, "load_store_for", counting)
     sweep = SweepConfig(base=base_config(), rhos=(1, 2), seeds=(0, 1))
-    outputs = execute_sweep(sweep)
-    assert len(outputs) == 4 and all(o.result is not None for o in outputs)
-    assert len(loads) == 1
+    for jobs in (1, 2):
+        log = tmp_path / f"loads-{jobs}.txt"
+        outputs = execute_sweep(sweep, jobs=jobs)
+        assert len(outputs) == 4 and all(o.result is not None for o in outputs)
+        assert len(log.read_text().splitlines()) == 1
+
+
+def test_failed_store_load_fails_every_run(
+    monkeypatch: pytest.MonkeyPatch, quiet_sweep_logger
+) -> None:
+    def broken(cfg: RunConfig):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(sweep_mod, "load_store_for", broken)
+    sweep = SweepConfig(base=base_config(), rhos=(1, 2), seeds=(0, 1))
+    for jobs in (1, 2):
+        outputs = execute_sweep(sweep, jobs=jobs)
+        assert [o.run_id for o in outputs] == [run_id_for(c) for c in expand_grid(sweep)]
+        assert all(o.result is None and "OSError: disk gone" in o.error for o in outputs)
 
 
 def test_worker_pool_matches_serial_execution(tmp_path: Path) -> None:
