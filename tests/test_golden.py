@@ -1,9 +1,12 @@
-"""Behaviour pin: four small runs and one sweep must write the golden CSVs
+"""Behaviour pin: five small runs and one sweep must write the golden CSVs
 byte for byte.
 
 Each run config goes through ``execute_run`` and ``write_run_outputs``, and its
 ``results.csv``, ``summary.csv`` and ``steps.csv`` must equal the files under
-``tests/golden/<name>/``. The sweep goes through ``execute_sweep``, serially and
+``tests/golden/<name>/``. The CSV pins write a generator run's stream with
+``write_event_log``, shuffle its body rows by a fixed permutation (so file order
+is not time order) and run it again as an ``"events"`` config, through
+``read_event_log`` and the invoice filter. The sweep goes through ``execute_sweep``, serially and
 with two worker processes, and ``write_sweep_outputs``; its ``results.csv``,
 ``summary.csv``, ``runs.csv`` and pivots must equal ``tests/golden/sweep-supermarket/``.
 ``manifest.json`` carries a timestamp and is not pinned.
@@ -20,15 +23,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from proxystream.logio import schema_for_store, write_event_log
 from proxystream.metrics import METRIC_NAMES
 from proxystream.sweep import (
     RunOutput,
     execute_run,
     execute_sweep,
+    generate_from_dict,
     run_config_from_dict,
     run_id_for,
     sweep_config_from_dict,
@@ -62,6 +69,9 @@ CONFIGS = {
     },
 }
 
+# CSV pin -> the generator run whose stream it writes, shuffles and reads back.
+CSV_CONFIGS = {"paint-csv-rho10": "paint-rho10"}
+
 
 SWEEP_NAME = "sweep-supermarket"
 SWEEP = {"base": {"use_case": "supermarket", "tau": 3, "t_start": 4, "t_end": 12,
@@ -70,9 +80,25 @@ SWEEP = {"base": {"use_case": "supermarket", "tau": 3, "t_start": 4, "t_end": 12
 SWEEP_FILES = ("results.csv", "summary.csv", "runs.csv", *(f"pivot_{m}.csv" for m in METRIC_NAMES))
 
 
+def csv_config(name: str, workdir: Path) -> dict:
+    """Write the stream of ``CSV_CONFIGS[name]`` to ``workdir`` with shuffled
+    body rows and return a config that reads it back."""
+    base = dict(CONFIGS[CSV_CONFIGS[name]])
+    store, _ = generate_from_dict(base.pop("generator"))
+    path = workdir / "events.csv"
+    write_event_log(store, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(0).permutation(len(rows))
+    path.write_text(header + "".join(rows[i] for i in order))
+    return {**base, "events": str(path), "filter_cases": True,
+            "time_format": schema_for_store(store).time_format}
+
+
 def write_outputs(name: str, outdir: Path) -> None:
-    cfg = run_config_from_dict(CONFIGS[name])
-    write_run_outputs(outdir, RunOutput(run_id_for(cfg), cfg, result=execute_run(cfg)))
+    with tempfile.TemporaryDirectory() as workdir:
+        data = csv_config(name, Path(workdir)) if name in CSV_CONFIGS else CONFIGS[name]
+        cfg = run_config_from_dict(data)
+        write_run_outputs(outdir, RunOutput(run_id_for(cfg), cfg, result=execute_run(cfg)))
 
 
 def write_sweep(outdir: Path, jobs: int = 1) -> None:
@@ -87,7 +113,7 @@ def assert_golden(name: str, outdir: Path, filenames) -> None:
         assert got == want, f"{name}/{filename} differs from the golden file"
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(CSV_CONFIGS))
 def test_outputs_match_golden_bytes(name, tmp_path):
     write_outputs(name, tmp_path)
     assert_golden(name, tmp_path, PINNED_FILES)
@@ -106,14 +132,14 @@ def regenerate(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.reason.strip():
         parser.error("refusing to regenerate the golden files without --reason")
-    for name in sorted(CONFIGS):
+    for name in sorted(CONFIGS) + sorted(CSV_CONFIGS):
         outdir = GOLDEN / name
         write_outputs(name, outdir)
         (outdir / "manifest.json").unlink()
     write_sweep(GOLDEN / SWEEP_NAME)
     (GOLDEN / SWEEP_NAME / "manifest.json").unlink()
     (GOLDEN / "REASON").write_text(args.reason.strip() + "\n")
-    print(f"wrote {len(CONFIGS)} golden runs and one sweep under {GOLDEN}; "
+    print(f"wrote {len(CONFIGS) + len(CSV_CONFIGS)} golden runs and one sweep under {GOLDEN}; "
           "record the reason and the largest deviation in CHANGES.md")
     return 0
 

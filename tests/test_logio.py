@@ -1,10 +1,18 @@
 """CSV event-log reading/writing and timestamp conversion."""
 from __future__ import annotations
 
+import csv
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxystream.events import (
+    BOOLEAN,
     CATEGORICAL,
     NUMERIC,
     AttributeField,
@@ -134,6 +142,62 @@ def test_read_errors_name_row_and_column(tmp_path):
     schema = LogSchema(entity_attributes=(ColumnSpec("region", CATEGORICAL, None),))
     with pytest.raises(SchemaError, match="varies within"):
         read_event_log(p3, schema)
+
+
+@pytest.mark.parametrize("text, schema, message", [
+    ("entity_id,activity,timestamp,amount\n" "a,visit,1,2.5\n" "b,visit,2,lots\n",
+     LogSchema(event_attributes=(ColumnSpec("amount", NUMERIC),)),
+     "row 3: column 'amount': 'lots' is not numeric"),
+    ("entity_id,activity,timestamp,region\n" "a,visit,1,north\n" "b,visit,2,west\n",
+     LogSchema(entity_attributes=(ColumnSpec("region", CATEGORICAL, ("north", "south")),)),
+     "row 3: column 'region': 'west' not in declared categories"),
+    ("entity_id,activity,timestamp,vip\n" "a,visit,1,yes\n" "a,pay,2,yes\n" "b,visit,3,maybe\n",
+     LogSchema(entity_attributes=(ColumnSpec("vip", BOOLEAN),)),
+     "row 4: column 'vip': 'maybe' is not a boolean"),
+], ids=["numeric-event-attribute", "pinned-category", "boolean-entity-attribute"])
+def test_attribute_errors_name_row_and_column(tmp_path, text, schema, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read_event_log(_write(tmp_path, text), schema)
+
+
+def assert_same_store(a: EventStore, b: EventStore) -> None:
+    """Equal in every column, id list, alphabet, schema and time origin."""
+    for name in ("times", "entity_codes", "activity_codes", "first_times"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.entity_ids, a.alphabet, a.time_origin) == (b.entity_ids, b.alphabet, b.time_origin)
+    assert (a.event_schema, a.entity_schema) == (b.event_schema, b.entity_schema)
+    for f in a.event_schema:
+        assert np.array_equal(a.event_attribute(f.name), b.event_attribute(f.name)), f.name
+    for f in a.entity_schema:
+        assert np.array_equal(a.entity_attribute(f.name), b.entity_attribute(f.name)), f.name
+
+
+_ORDER_SCHEMA = LogSchema(
+    event_attributes=(ColumnSpec("amount", NUMERIC),),
+    entity_attributes=(ColumnSpec("region", CATEGORICAL, None), ColumnSpec("vip", BOOLEAN)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 25))
+def test_row_order_does_not_change_the_store(data, n):
+    times = data.draw(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n, unique=True))
+    ents = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    acts = data.draw(st.lists(st.sampled_from(["visit", "pay", "leave"]), min_size=n, max_size=n))
+    amounts = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    rows = [[f"e{e}", a, repr(t), repr(x), ("north", "south", "east")[e % 3], str(e % 2 == 0)]
+            for e, a, t, x in zip(ents, acts, times, amounts)]
+    order = data.draw(st.permutations(range(n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        stores = []
+        for name, body in (("file.csv", rows), ("shuffled.csv", [rows[i] for i in order])):
+            path = Path(tmp) / name
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["entity_id", "activity", "timestamp", "amount", "region", "vip"])
+                writer.writerows(body)
+            stores.append(read_event_log(path, _ORDER_SCHEMA))
+    assert_same_store(*stores)
 
 
 def test_pinned_alphabet_rejects_unknown_activity(tmp_path):
