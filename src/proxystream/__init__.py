@@ -34,7 +34,6 @@ from .encoding import (
 )
 from .events import (
     AttributeField,
-    Event,
     EventStore,
     SchemaError,
     TimeWindow,

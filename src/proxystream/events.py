@@ -1,15 +1,16 @@
-"""Core event-stream model: events, frozen stores, time windows, label frequencies.
+"""Core event-stream model: attribute fields, frozen stores, time windows, label frequencies.
 
 An :class:`EventStore` is a time-ordered, immutable collection of events over a
 fixed activity alphabet, with optional per-event and per-entity attribute
 tables. All downstream selection, encoding and filtering code works against
-this one container; the heavy operations are backed by sorted numpy arrays so
-window lookups are binary searches rather than scans.
+this one container. Its columns are sorted by time, so the rows of a time
+window are the slice ``np.searchsorted(store.times, (start, end))``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+import math
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -45,9 +46,12 @@ class AttributeField:
         """Raw value -> stored float (plain value, category code, or 0/1 flag)."""
         if self.kind == NUMERIC:
             try:
-                return float(value)
+                number = float(value)
             except (TypeError, ValueError):
                 raise SchemaError(f"column {self.name!r}: {value!r} is not numeric") from None
+            if not math.isfinite(number):
+                raise SchemaError(f"column {self.name!r}: {value!r} is not finite")
+            return number
         if self.kind == BOOLEAN:
             if isinstance(value, str):
                 low = value.strip().lower()
@@ -70,20 +74,6 @@ class AttributeField:
         if self.kind == BOOLEAN:
             return bool(stored)
         return self.categories[int(stored)]
-
-
-@dataclass(frozen=True)
-class Event:
-    """One timestamped activity occurrence for one entity."""
-
-    entity_id: Any
-    activity: str
-    time: float
-    attributes: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -225,34 +215,6 @@ class EventStore:
             return self._entity_attrs[name]
         except KeyError:
             raise SchemaError(f"no entity attribute column {name!r}") from None
-
-    def event_at(self, row: int) -> Event:
-        attrs = {
-            f.name: f.decode(self._event_attrs[f.name][row]) for f in self._event_schema
-        }
-        return Event(
-            entity_id=self._entity_ids[self._ent_codes[row]],
-            activity=self._alphabet[self._act_codes[row]],
-            time=float(self._times[row]),
-            attributes=attrs,
-        )
-
-    def __iter__(self) -> Iterator[Event]:
-        for row in range(len(self)):
-            yield self.event_at(row)
-
-    # -- window operations -------------------------------------------------
-
-    def window_bounds(self, window: TimeWindow) -> tuple[int, int]:
-        """Row range [lo, hi) of events with start <= time < end."""
-        lo = int(np.searchsorted(self._times, window.start, side="left"))
-        hi = int(np.searchsorted(self._times, window.end, side="left"))
-        return lo, hi
-
-    def entities_in_window(self, window: TimeWindow) -> np.ndarray:
-        """Sorted entity codes of entities with at least one event in window."""
-        lo, hi = self.window_bounds(window)
-        return np.unique(self._ent_codes[lo:hi])
 
 
 def _attribute_columns(kind: str, schema: tuple[AttributeField, ...],

@@ -100,23 +100,14 @@ def filter_invoice_cases(
 
     alphabet = store.alphabet
     n = store.entity_count
-    report = FilterReport(cases_in=n)
     counts = {RULE_MULTIPLICITY: 0, RULE_ORDER: 0, RULE_DATE_RANGE: 0}
 
-    def _label_stats(label: str) -> tuple[np.ndarray, np.ndarray]:
-        # occurrence count and first occurrence time per entity
-        per_entity = np.zeros(n, dtype=np.int64)
-        first = np.full(n, np.inf)
-        if label in alphabet:
-            code = alphabet.index(label)
-            mask = store.activity_codes == code
-            ents = store.entity_codes[mask]
-            np.add.at(per_entity, ents, 1)
-            np.minimum.at(first, ents, store.times[mask])
-        return per_entity, first
-
-    vci_count, vci_time = _label_stats(vci_label)
-    rir_count, rir_time = _label_stats(rir_label)
+    vci_time = label_times(store, vci_label)
+    rir_time = label_times(store, rir_label)
+    label_codes = [alphabet.index(label) if label in alphabet else -1
+                   for label in (vci_label, rir_label)]
+    vci_count, rir_count = (np.bincount(store.entity_codes[store.activity_codes == code],
+                                        minlength=n) for code in label_codes)
 
     keep = np.ones(n, dtype=bool)
     bad = (vci_count != 1) | (rir_count != 1)
@@ -127,9 +118,9 @@ def filter_invoice_cases(
     counts[RULE_ORDER] = int(bad.sum())
     keep &= ~bad
 
-    last = np.full(n, -np.inf)
-    np.maximum.at(last, store.entity_codes, store.times)
     if date_window is not None:
+        last = np.full(n, -np.inf)
+        np.maximum.at(last, store.entity_codes, store.times)
         bad = keep & ~((store.first_times >= date_window.start) & (last < date_window.end))
         counts[RULE_DATE_RANGE] = int(bad.sum())
         keep &= ~bad
@@ -148,8 +139,7 @@ def filter_invoice_cases(
     for new_code, label in enumerate(new_alphabet):
         act_recode[alphabet.index(label)] = new_code
 
-    declared = {f.name for f in store.entity_schema}
-    kept_fields = tuple(f for f in store.entity_schema if f.name in set(keep_attributes) & declared)
+    kept_fields = tuple(f for f in store.entity_schema if f.name in keep_attributes)
 
     filtered = EventStore(
         store.times[row_mask],
@@ -164,10 +154,8 @@ def filter_invoice_cases(
         time_origin=store.time_origin,
     )
 
-    report.cases_kept = len(kept_ids)
-    report.events_kept = len(filtered)
-    report.labels_kept = len(new_alphabet)
-    report.cases_dropped_by_rule = counts
+    report = FilterReport(cases_in=n, cases_kept=len(kept_ids), events_kept=len(filtered),
+                          labels_kept=len(new_alphabet), cases_dropped_by_rule=counts)
     assert report.cases_in == report.cases_kept + report.cases_dropped
     return filtered, report
 
@@ -177,7 +165,7 @@ def invoice_log_schema(time_format: str = "number", *,
                        activity_column: str = "activity",
                        time_column: str = "timestamp") -> LogSchema:
     """CSV layout for invoice logs: the eight case attributes as entity
-    columns, categorical lists collected by scan."""
+    columns, categorical lists taken from the file."""
     specs = tuple(
         ColumnSpec(name, BOOLEAN) if name in INVOICE_BOOLEAN_ATTRIBUTES
         else ColumnSpec(name, CATEGORICAL)

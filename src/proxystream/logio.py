@@ -3,8 +3,8 @@
 The on-disk shape is one row per event: entity id, activity label, timestamp,
 then any declared event attributes, then any declared entity attributes
 (repeated on each of the entity's rows, constant per entity). Categorical
-columns may declare ``categories=None`` to have the closed list collected in a
-scan pass before loading.
+columns may declare ``categories=None`` to take the column's sorted distinct
+values as the closed list.
 """
 from __future__ import annotations
 
@@ -12,8 +12,10 @@ import csv
 import datetime as _dt
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,12 +32,8 @@ from .events import (
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One attribute column as it appears in the file.
-
-    ``categories=None`` on a categorical column means "collect the observed
-    values in a scan pass"; the resulting store schema carries the closed,
-    sorted list.
-    """
+    """One attribute column as it appears in the file. ``categories=None`` on a
+    categorical column takes the column's sorted distinct values as the list."""
 
     name: str
     kind: str
@@ -84,127 +82,132 @@ def days_to_iso(days: float) -> str:
     return stamp.isoformat().replace("+00:00", "Z")
 
 
-def _parse_time(raw: str, fmt: str, row: int) -> float:
+def _parse_time(raw: str, fmt: str) -> float:
     try:
         stamp = parse_iso_to_days(raw) if fmt == "iso8601" else float(raw)
     except (ValueError, TypeError):
-        raise SchemaError(f"row {row}: cannot parse timestamp {raw!r}") from None
+        raise SchemaError(f"cannot parse timestamp {raw!r}") from None
     if not math.isfinite(stamp):
-        raise SchemaError(f"row {row}: timestamp {raw!r} is not finite")
+        raise SchemaError(f"timestamp {raw!r} is not finite")
     return stamp
 
 
-def _scan_categories(path: Path, schema: LogSchema) -> dict[str, set[str]]:
-    open_cols = [
-        c for c in (*schema.event_attributes, *schema.entity_attributes)
-        if c.kind == CATEGORICAL and c.categories is None
-    ]
-    observed: dict[str, set[str]] = {c.name: set() for c in open_cols}
-    if not open_cols:
-        return observed
+_CHUNK_ROWS = 1 << 12  # rows held as strings at a time while reading
+
+
+def _code(values: list, index: dict) -> np.ndarray:
+    """Each value's code in ``index``, which numbers new values by first appearance."""
+    for value in dict.fromkeys(values):
+        index.setdefault(value, len(index))
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _spread(distinct: list[str], codes: np.ndarray, convert: Callable[[str], float],
+            first_row: int = 2) -> np.ndarray:
+    """``convert`` each distinct value once and spread the results over the rows.
+
+    A :class:`SchemaError` from ``convert`` is raised again naming the first
+    row holding the value, counting ``codes[0]`` as row ``first_row``.
+    """
+    out = np.empty(len(distinct))
+    for code, raw in enumerate(distinct):
+        try:
+            out[code] = convert(raw)
+        except SchemaError as exc:
+            raise SchemaError(f"row {first_row + int(np.argmax(codes == code))}: {exc}") from None
+    return out[codes]
+
+
+def _read_columns(path: Path, columns: Sequence[tuple[str, Callable[[str], float] | None]]):
+    """Read the CSV once, in chunks of rows, and return the named columns in order.
+
+    A column with a converter comes back as a float array, each distinct value
+    of a chunk converted once; one without comes back as its distinct values
+    in order of first appearance and each row's code into them. Blank lines
+    are skipped and not counted; the header is row 1.
+    """
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            for c in open_cols:
-                observed[c.name].add(row[c.name])
-    return observed
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}
+        missing = [name for name, _ in columns if name not in position]
+        if missing:
+            raise SchemaError(f"missing columns {missing} in {path.name}")
+        out = [({}, [np.empty(0, dtype=np.int64)]) for _ in columns]
+        done = 1
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            rows = [row for row in chunk if row]
+            if set(map(len, rows)) - {len(header)}:
+                n, row = next((n, row) for n, row in enumerate(rows, start=done + 1)
+                              if len(row) != len(header))
+                raise SchemaError(f"row {n}: {len(row)} fields, the header has {len(header)}")
+            for (name, convert), (index, parts) in zip(columns, out):
+                index = {} if convert else index
+                codes = _code(list(map(itemgetter(position[name]), rows)), index)
+                parts.append(_spread(list(index), codes, convert, done + 1) if convert else codes)
+            done += len(rows)
+    return [np.concatenate(parts) if convert else (list(index), np.concatenate(parts))
+            for (_, convert), (index, parts) in zip(columns, out)]
 
 
 def read_event_log(path: str | Path, schema: LogSchema) -> EventStore:
-    """Load a CSV event log into an :class:`EventStore`.
+    """Load a CSV event log into an :class:`EventStore`, reading the file once.
 
-    Raises :class:`SchemaError` naming the offending column and row for
-    malformed values, undeclared activities (when the schema pins an
-    alphabet), and entity attributes that vary within an entity.
+    Timestamps and attributes of a fixed field are converted while reading;
+    entity ids, activities and open categorical columns afterwards. A
+    :class:`SchemaError` names the row (and the column of an attribute); of
+    several faults, the first found is reported, not always the first row's.
     """
-    path = Path(path)
-    observed = _scan_categories(path, schema)
-    ev_fields = [c.to_field(observed.get(c.name, ())) for c in schema.event_attributes]
-    ent_fields = [c.to_field(observed.get(c.name, ())) for c in schema.entity_attributes]
+    specs = (*schema.event_attributes, *schema.entity_attributes)
+    (distinct_ids, id_codes), (labels, label_codes), times, *attr_columns = _read_columns(
+        Path(path),
+        [(schema.entity_column, None), (schema.activity_column, None),
+         (schema.time_column, lambda raw: _parse_time(raw, schema.time_format)),
+         *((c.name, None if c.kind == CATEGORICAL and c.categories is None
+            else c.to_field().encode) for c in specs)])
 
-    needed = [schema.entity_column, schema.activity_column, schema.time_column]
-    needed += [f.name for f in (*ev_fields, *ent_fields)]
+    def attribute(spec: ColumnSpec, column) -> tuple[AttributeField, np.ndarray]:
+        if isinstance(column, np.ndarray):  # converted while reading
+            return spec.to_field(), column
+        distinct, codes = column
+        field_ = spec.to_field(distinct)
+        return field_, _spread(distinct, codes, field_.encode)
 
-    times: list[float] = []
-    ent_codes: list[int] = []
-    act_strings: list[str] = []
-    ev_cols: dict[str, list[float]] = {f.name: [] for f in ev_fields}
-    ent_index: dict[str, int] = {}
-    ent_values: dict[str, list[float]] = {f.name: [] for f in ent_fields}
+    alphabet = tuple(schema.alphabet if schema.alphabet is not None else sorted(labels))
+    lookup = {a: i for i, a in enumerate(alphabet)}
 
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise SchemaError(f"missing columns {missing} in {path.name}")
-        for n, row in enumerate(reader, start=2):  # header is line 1
-            times.append(_parse_time(row[schema.time_column], schema.time_format, n))
-            act_strings.append(row[schema.activity_column])
-            eid = row[schema.entity_column]
-            code = ent_index.get(eid)
-            if code is None:
-                code = len(ent_index)
-                ent_index[eid] = code
-                for f in ent_fields:
-                    try:
-                        ent_values[f.name].append(f.encode(row[f.name]))
-                    except SchemaError as exc:
-                        raise SchemaError(f"row {n}: {exc}") from None
-            else:
-                for f in ent_fields:
-                    try:
-                        val = f.encode(row[f.name])
-                    except SchemaError as exc:
-                        raise SchemaError(f"row {n}: {exc}") from None
-                    if val != ent_values[f.name][code]:
-                        raise SchemaError(
-                            f"row {n}: entity attribute {f.name!r} varies within "
-                            f"entity {eid!r}"
-                        )
-            ent_codes.append(code)
-            for f in ev_fields:
-                try:
-                    ev_cols[f.name].append(f.encode(row[f.name]))
-                except SchemaError as exc:
-                    raise SchemaError(f"row {n}: {exc}") from None
+    def activity_code(label: str) -> int:
+        if label not in lookup:
+            raise SchemaError(f"activity {label!r} not in alphabet")
+        return lookup[label]
 
-    if schema.alphabet is not None:
-        alphabet = tuple(schema.alphabet)
-    else:
-        alphabet = tuple(sorted(set(act_strings)))
-    act_lookup = {a: i for i, a in enumerate(alphabet)}
-    act_codes = np.empty(len(act_strings), dtype=np.int64)
-    for i, a in enumerate(act_strings):
-        try:
-            act_codes[i] = act_lookup[a]
-        except KeyError:
-            raise SchemaError(f"row {i + 2}: activity {a!r} not in alphabet") from None
+    act_codes = _spread(labels, label_codes, activity_code).astype(np.int64)
 
-    times_arr = np.asarray(times, dtype=float)
-    codes_arr = np.asarray(ent_codes, dtype=np.int64)
-    n_ent = len(ent_index)
-    # Renumber entities by first appearance in time order so the row order
-    # of the file cannot leak into entity codes.
-    order = np.argsort(times_arr, kind="stable")
-    first_pos = np.full(n_ent, len(order), dtype=np.int64)
-    np.minimum.at(first_pos, codes_arr[order], np.arange(len(order)))
-    old_in_new_order = np.argsort(first_pos, kind="stable")
-    remap = np.empty(n_ent, dtype=np.int64)
-    remap[old_in_new_order] = np.arange(n_ent)
-    ids_in_file_order = list(ent_index)
+    # Number entities by first appearance in time; equal timestamps keep file order.
+    order = np.argsort(times, kind="stable")
+    in_time: dict[int, int] = {}
+    ent_codes = np.empty_like(id_codes)
+    ent_codes[order] = _code(id_codes[order].tolist(), in_time)
+    ids = [distinct_ids[code] for code in in_time]
+    first_row = np.unique(ent_codes, return_index=True)[1]  # each entity's first row in the file
+
+    n_event = len(schema.event_attributes)
+    event_cols = dict(map(attribute, schema.event_attributes, attr_columns[:n_event]))
+    entity_cols = {}
+    for field_, per_row in map(attribute, schema.entity_attributes, attr_columns[n_event:]):
+        entity_cols[field_] = per_row[first_row]
+        varies = per_row != entity_cols[field_][ent_codes]
+        if varies.any():
+            n = int(np.argmax(varies))
+            raise SchemaError(f"row {n + 2}: entity attribute {field_.name!r} varies within "
+                              f"entity {ids[ent_codes[n]]!r}")
 
     return EventStore(
-        times_arr,
-        remap[codes_arr],
-        act_codes,
-        [ids_in_file_order[i] for i in old_in_new_order],
-        alphabet,
-        event_schema=tuple(ev_fields),
-        event_attrs={name: np.asarray(col) for name, col in ev_cols.items()},
-        entity_schema=tuple(ent_fields),
-        entity_attrs={name: np.asarray(col)[old_in_new_order]
-                      for name, col in ent_values.items()},
+        times, ent_codes, act_codes, ids, alphabet,
+        event_schema=list(event_cols),
+        event_attrs={f.name: col for f, col in event_cols.items()},
+        entity_schema=list(entity_cols),
+        entity_attrs={f.name: col for f, col in entity_cols.items()},
         time_origin="epoch_days" if schema.time_format == "iso8601" else None,
     )
 
@@ -216,28 +219,21 @@ def write_event_log(store: EventStore, path: str | Path, *, time_format: str | N
     read/write round trip is value-exact. ``time_format`` defaults to
     iso8601 for absolute-dated stores and plain numbers otherwise.
     """
-    path = Path(path)
     if time_format is None:
         time_format = "iso8601" if store.time_origin == "epoch_days" else "number"
-    ev_fields = store.event_schema
-    ent_fields = store.entity_schema
-    header = ["entity_id", "activity", "timestamp"]
-    header += [f.name for f in ev_fields] + [f.name for f in ent_fields]
-
+    stamp = days_to_iso if time_format == "iso8601" else repr
+    event_cols = [(f, store.event_attribute(f.name)) for f in store.event_schema]
+    entity_cols = [(f, store.entity_attribute(f.name)) for f in store.entity_schema]
     ids = store.entity_ids
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in range(len(store)):
-            t = store.times[row]
-            stamp = days_to_iso(float(t)) if time_format == "iso8601" else repr(float(t))
-            code = int(store.entity_codes[row])
-            out = [str(ids[code]), store.alphabet[store.activity_codes[row]], stamp]
-            for f in ev_fields:
-                out.append(_format_value(f, store.event_attribute(f.name)[row]))
-            for f in ent_fields:
-                out.append(_format_value(f, store.entity_attribute(f.name)[code]))
-            writer.writerow(out)
+        writer.writerow(["entity_id", "activity", "timestamp",
+                         *(f.name for f, _ in (*event_cols, *entity_cols))])
+        for row, (t, code, act) in enumerate(zip(store.times.tolist(), store.entity_codes.tolist(),
+                                                 store.activity_codes.tolist())):
+            writer.writerow([str(ids[code]), store.alphabet[act], stamp(t),
+                             *(_format_value(f, col[row]) for f, col in event_cols),
+                             *(_format_value(f, col[code]) for f, col in entity_cols)])
 
 
 def _format_value(field_: AttributeField, stored: float) -> str:
@@ -251,15 +247,10 @@ def _format_value(field_: AttributeField, stored: float) -> str:
 
 def schema_for_store(store: EventStore) -> LogSchema:
     """Schema that reads back what :func:`write_event_log` produced."""
-    return LogSchema(
-        time_format="iso8601" if store.time_origin == "epoch_days" else "number",
-        event_attributes=tuple(
-            ColumnSpec(f.name, f.kind, f.categories if f.kind == CATEGORICAL else None)
-            for f in store.event_schema
-        ),
-        entity_attributes=tuple(
-            ColumnSpec(f.name, f.kind, f.categories if f.kind == CATEGORICAL else None)
-            for f in store.entity_schema
-        ),
-        alphabet=store.alphabet,
-    )
+    def specs(fields: Sequence[AttributeField]) -> tuple[ColumnSpec, ...]:
+        return tuple(ColumnSpec(f.name, f.kind, f.categories if f.kind == CATEGORICAL else None)
+                     for f in fields)
+
+    return LogSchema(time_format="iso8601" if store.time_origin == "epoch_days" else "number",
+                     event_attributes=specs(store.event_schema),
+                     entity_attributes=specs(store.entity_schema), alphabet=store.alphabet)

@@ -1,7 +1,20 @@
 """Shared test helpers."""
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Any, Mapping
+
 from proxystream.events import EventStore
+
+
+@dataclass(frozen=True)
+class Event:
+    """One hand-written event: entity id, activity label, time and attributes."""
+
+    entity_id: Any
+    activity: str
+    time: float
+    attributes: Mapping[str, Any] = field(default_factory=dict)
 
 
 def store_from_events(events, alphabet=None, *, event_schema=(), entity_schema=(),

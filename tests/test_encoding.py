@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import store_from_events
+from conftest import Event, store_from_events
 
 from proxystream.encoding import (
     JOURNEY_AGGREGATE_ROWS,
@@ -17,7 +17,7 @@ from proxystream.encoding import (
     standardize_columns,
     weekly_spend,
 )
-from proxystream.events import Event, EventStore
+from proxystream.events import EventStore
 from proxystream.filtering import RIR_LABEL, VCI_LABEL
 from proxystream.synthetic import (
     SHOPPER_EVENT_SCHEMA,

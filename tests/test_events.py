@@ -1,16 +1,15 @@
-"""Event model: attribute fields, events, windows, frozen stores, frequencies."""
+"""Event model: attribute fields, windows, frozen stores, frequencies."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import store_from_events
+from conftest import Event, store_from_events
 
 from proxystream.events import (
     BOOLEAN,
     CATEGORICAL,
     NUMERIC,
     AttributeField,
-    Event,
     EventStore,
     SchemaError,
     TimeWindow,
@@ -48,11 +47,9 @@ def test_attribute_field_rejects_bad_values():
         AttributeField("c", CATEGORICAL, ("a", "b")).encode("z")
     with pytest.raises(SchemaError):
         AttributeField("b", BOOLEAN).encode("maybe")
-
-
-def test_event_rejects_negative_time():
-    with pytest.raises(ValueError):
-        Event("e", "visit", -0.5)
+    for value in ("nan", "inf", float("-inf")):
+        with pytest.raises(SchemaError, match="not finite"):
+            AttributeField("x", NUMERIC).encode(value)
 
 
 # -- time windows ----------------------------------------------------------
@@ -74,8 +71,9 @@ def test_window_requires_positive_length():
 
 def test_window_slice_excludes_right_edge():
     store = EventStore([1.0, 1.9, 2.0], [0, 1, 2], [0, 0, 0], ["a", "b", "c"], ("visit",))
-    lo, hi = store.window_bounds(TimeWindow(1.0, 2.0))
-    assert [store.event_at(row).time for row in range(lo, hi)] == [1.0, 1.9]
+    lo, hi = np.searchsorted(store.times, (1.0, 2.0))
+    assert list(store.times[lo:hi]) == [1.0, 1.9]
+    assert list(store.entity_codes[lo:hi]) == [0, 1]
 
 
 # -- stores ----------------------------------------------------------------
@@ -158,24 +156,24 @@ def test_entity_attributes_are_per_entity():
             EventStore(**_columns(entity_attrs=entity_attrs))
 
 
-def test_event_at_round_trips_attributes():
+def test_store_rows_decode_to_their_columns():
     store = _tiny_store()
-    e = store.event_at(1)
-    assert e == Event("a", "pay", 2.0, {"value": 20.0})
-    assert [ev.activity for ev in store] == ["visit", "pay", "visit"]
+    assert [store.alphabet[c] for c in store.activity_codes] == ["visit", "pay", "visit"]
+    assert [store.entity_ids[c] for c in store.entity_codes] == ["a", "a", "b"]
+    value = store.event_schema[0]
+    assert [value.decode(v) for v in store.event_attribute("value")] == [10.0, 20.0, 30.0]
 
 
-def test_first_times_and_entities_in_window():
+def test_first_times_and_window_entities():
     store = _tiny_store()
     assert np.array_equal(store.first_times, [1.0, 3.0])
-    assert np.array_equal(store.entities_in_window(TimeWindow(0.0, 2.5)), [0])
-    assert np.array_equal(store.entities_in_window(TimeWindow(0.0, 3.5)), [0, 1])
-    lo, hi = store.window_bounds(TimeWindow(0.0, 10.0))
-    rows = np.nonzero(store.entity_codes[lo:hi] == store.entity_code("a"))[0] + lo
-    assert [store.event_at(int(row)) for row in rows] == [
-        Event("a", "visit", 1.0, {"value": 10.0}),
-        Event("a", "pay", 2.0, {"value": 20.0}),
-    ]
+    for end, entities in ((2.5, [0]), (3.5, [0, 1])):
+        lo, hi = np.searchsorted(store.times, (0.0, end))
+        assert np.array_equal(np.unique(store.entity_codes[lo:hi]), entities)
+    rows = np.flatnonzero(store.entity_codes == store.entity_code("a"))
+    assert np.array_equal(store.times[rows], [1.0, 2.0])
+    assert np.array_equal(store.event_attribute("value")[rows], [10.0, 20.0])
+    assert [store.alphabet[c] for c in store.activity_codes[rows]] == ["visit", "pay"]
 
 
 def test_store_sorts_columns_and_validates_codes():
@@ -214,7 +212,7 @@ def test_empty_store():
     assert len(store) == 0
     assert store.alphabet == ()
     assert store.entity_count == 0
-    assert store.window_bounds(TimeWindow(0.0, 1.0)) == (0, 0)
+    assert list(np.searchsorted(store.times, (0.0, 1.0))) == [0, 0]
 
 
 # -- activity frequencies --------------------------------------------------

@@ -5,12 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from conftest import store_from_events
+from conftest import Event, store_from_events
 
 from proxystream.events import (
     CATEGORICAL,
     AttributeField,
-    Event,
     EventStore,
     SchemaError,
     TimeWindow,

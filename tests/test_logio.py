@@ -19,6 +19,7 @@ from proxystream.events import (
     EventStore,
     SchemaError,
 )
+from proxystream import logio
 from proxystream.logio import (
     ColumnSpec,
     LogSchema,
@@ -160,6 +161,38 @@ def test_attribute_errors_name_row_and_column(tmp_path, text, schema, message):
         read_event_log(_write(tmp_path, text), schema)
 
 
+@pytest.mark.parametrize("text, schema, message", [
+    ("entity_id,activity,timestamp,region\n" "a,visit,1,north\n" "b,visit,2\n",
+     LogSchema(entity_attributes=(ColumnSpec("region", CATEGORICAL, None),)),
+     "row 3: 3 fields, the header has 4"),
+    ("entity_id,activity,timestamp\n" "a,visit,1\n" "b,visit\n",
+     LogSchema(), "row 3: 2 fields, the header has 3"),
+    ("entity_id,activity,timestamp\n" "a,visit,1,extra\n" "b,visit,2\n",
+     LogSchema(), "row 2: 4 fields, the header has 3"),
+], ids=["short-open-categorical", "short", "long"])
+def test_ragged_rows_are_rejected(tmp_path, text, schema, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read_event_log(_write(tmp_path, text), schema)
+
+
+def test_blank_lines_are_skipped_and_not_counted(tmp_path):
+    p = _write(tmp_path, "entity_id,activity,timestamp\n\n" "a,visit,1\n\n" "b,visit,soon\n")
+    with pytest.raises(SchemaError, match="row 3: cannot parse timestamp 'soon'"):
+        read_event_log(p, LogSchema())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["event", "entity"])
+def test_non_finite_numeric_attributes_are_rejected(tmp_path, kind, value):
+    # every row of entity "b" reads the same non-finite value
+    p = _write(tmp_path, "entity_id,activity,timestamp,amount\n"
+               "a,visit,1,2.5\n" f"b,visit,2,{value}\n" f"b,pay,3,{value}\n")
+    spec = {f"{kind}_attributes": (ColumnSpec("amount", NUMERIC),)}
+    message = f"row 3: column 'amount': '{value}' is not finite"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read_event_log(p, LogSchema(**spec))
+
+
 def assert_same_store(a: EventStore, b: EventStore) -> None:
     """Equal in every column, id list, alphabet, schema and time origin."""
     for name in ("times", "entity_codes", "activity_codes", "first_times"):
@@ -170,6 +203,25 @@ def assert_same_store(a: EventStore, b: EventStore) -> None:
         assert np.array_equal(a.event_attribute(f.name), b.event_attribute(f.name)), f.name
     for f in a.entity_schema:
         assert np.array_equal(a.entity_attribute(f.name), b.entity_attribute(f.name)), f.name
+
+
+def test_chunked_reading_matches_one_chunk(tmp_path, monkeypatch):
+    rows = [f"e{i % 4},{('visit', 'pay')[i % 2]},{7 * i % 11},{i / 4!r},"
+            f"{('north', 'south')[i % 4 // 2]}" for i in range(11)]
+    text = "entity_id,activity,timestamp,amount,region\n\n" + "\n\n".join(rows) + "\n"
+    schema = LogSchema(event_attributes=(ColumnSpec("amount", NUMERIC),),
+                       entity_attributes=(ColumnSpec("region", CATEGORICAL, None),))
+    whole = read_event_log(_write(tmp_path, text), schema)
+    monkeypatch.setattr(logio, "_CHUNK_ROWS", 3)  # blank lines fall inside chunks too
+    assert_same_store(read_event_log(_write(tmp_path, text), schema), whole)
+    # rows count from the header as row 1, skipping blank lines, across chunks
+    for bad, message in (("e9,visit,soon,0.5,north", "row 10: cannot parse timestamp 'soon'"),
+                         ("e9,visit,3,lots,north", "row 10: column 'amount': 'lots'"),
+                         ("e9,visit,3,0.5", "row 10: 4 fields, the header has 5"),
+                         ("e1,visit,3,0.5,west", "row 10: entity attribute 'region' varies")):
+        broken = text.replace(rows[8], bad)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            read_event_log(_write(tmp_path, broken), schema)
 
 
 _ORDER_SCHEMA = LogSchema(
