@@ -7,6 +7,15 @@ kinds are supported: plain Euclidean, Euclidean over per-dimension bin
 centers (with exact duplicates collapsed into weighted points), and Gower
 dissimilarity for mixed numeric/categorical rows.
 
+Assignment is incremental. The first round finds every point's nearest
+medoid in row blocks of at most ``_BATCH_LIMIT`` elements and keeps only
+that cluster and its distance per point, never the n x k matrix. A later
+round computes distances only to the medoids that moved: a point whose own
+medoid moved gets a full row; every other point switches to a moved cluster
+only if that distance is strictly smaller than its kept one, or equal with a
+lower cluster index. That explicit rule gives the same clusters as an argmin
+over the whole row.
+
 Determinism contract: identical inputs and seed give identical partitions.
 Ties in assignment go to the lowest cluster index, ties in the medoid update
 to the lowest member index, and the k == n and k == 1 paths never draw from
@@ -27,7 +36,7 @@ BINNED = "binned_euclidean"
 GOWER = "gower"
 _KINDS = (EUCLIDEAN, BINNED, GOWER)
 
-# cap on the elements of one medoid-update distance tensor
+# cap on the elements of one distance block, in assignment and medoid update
 _BATCH_LIMIT = 30_000_000
 
 
@@ -115,17 +124,21 @@ class _EuclideanHandler:
     """Cross distances via the Gram expansion ||x||^2 + ||y||^2 - 2 x.y.
 
     Assignment uses squared distances (argmin-equivalent); true distances
-    take a sqrt after clamping the expansion at zero.
+    take a sqrt after clamping the expansion at zero. BLAS may round a
+    product over a subset of rows or medoids differently in the last bit
+    from the same entries of the whole product.
     """
 
     def __init__(self, points: np.ndarray) -> None:
         self.points = np.ascontiguousarray(points, dtype=float)
         self.norms = np.einsum("ij,ij->i", self.points, self.points)
 
-    def assign_values(self, medoids: np.ndarray) -> np.ndarray:
-        sq = self.points @ self.points[medoids].T
+    def assign_values(self, medoids: np.ndarray, rows=None) -> np.ndarray:
+        """Squared distances from ``rows`` (all points by default) to the medoids."""
+        rows = slice(None) if rows is None else rows
+        sq = self.points[rows] @ self.points[medoids].T
         sq *= -2.0
-        sq += self.norms[:, None]
+        sq += self.norms[rows][:, None]
         sq += self.norms[medoids][None, :]
         np.maximum(sq, 0.0, out=sq)
         return sq
@@ -176,8 +189,10 @@ class _GowerHandler:
         out /= self.denom
         return out
 
-    def assign_values(self, medoids: np.ndarray) -> np.ndarray:
-        return self.cross(np.arange(len(self.points)), medoids)
+    def assign_values(self, medoids: np.ndarray, rows=None) -> np.ndarray:
+        """Distances from ``rows`` (all points by default) to the medoids; any
+        subset equals the same entries of the whole matrix, bit for bit."""
+        return self.cross(slice(None) if rows is None else rows, medoids)
 
     @staticmethod
     def finalize(values: np.ndarray) -> np.ndarray:
@@ -395,10 +410,8 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
 
     if k == 1:
         medoids = _medoid_update(handler, np.zeros(n, dtype=np.int64), 1, weights)
-        mind = handler.finalize(handler.assign_values(medoids)[:, 0])
-        mind[medoids[0]] = 0.0
-        return Partition(n, 1, np.zeros(n, dtype=np.int64), medoids,
-                         [float(mind @ weights)])
+        assignment, _, cost = _reassign(handler, medoids, weights)
+        return Partition(n, 1, assignment, medoids, [cost])
 
     if init is None:
         rng = np.random.default_rng(seed)
@@ -407,30 +420,75 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
         medoids = init.copy()
 
     history: list[float] = []
-    assignment = np.zeros(n, dtype=np.int64)
+    assignment = best = moved = None
     for _ in range(max_iter):
-        assignment, cost = _assign(handler, medoids, weights, k)
+        assignment, best, cost = _reassign(handler, medoids, weights, assignment, best, moved)
         history.append(cost)
         new = _medoid_update(handler, assignment, k, weights)
-        if np.array_equal(new, medoids):
+        moved = np.nonzero(new != medoids)[0]
+        if not len(moved):
             break
         medoids = new
     else:
         logger.warning("k-medoids reached max_iter=%d without a stable medoid set "
                        "(n=%d, k=%d)", max_iter, n, k)
-        assignment, cost = _assign(handler, medoids, weights, k)
+        assignment, best, cost = _reassign(handler, medoids, weights, assignment, best, moved)
         history.append(cost)
     return Partition(n, k, assignment, medoids, history)
 
 
-def _assign(handler, medoids: np.ndarray, weights: np.ndarray, k: int):
-    values = handler.assign_values(medoids)
-    assignment = np.argmin(values, axis=1).astype(np.int64)
+def _nearest(handler, medoids: np.ndarray, rows: np.ndarray | None = None):
+    """Each row's nearest medoid column (lowest index among ties) and its value.
+
+    Rows (all points by default) are taken in blocks of at most
+    ``_BATCH_LIMIT`` elements, one row at least; only the argmin column and its
+    value are kept per row.
+    """
+    n = len(handler.points) if rows is None else len(rows)
+    cols = np.empty(n, dtype=np.int64)
+    values = np.empty(n)
+    step = max(1, _BATCH_LIMIT // len(medoids))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        dist = handler.assign_values(medoids, block if rows is None else rows[block])
+        cols[block] = np.argmin(dist, axis=1)
+        values[block] = dist[np.arange(len(dist)), cols[block]]
+    return cols, values
+
+
+def _reassign(handler, medoids: np.ndarray, weights: np.ndarray,
+              assignment: np.ndarray | None = None, best: np.ndarray | None = None,
+              moved: np.ndarray | None = None):
+    """Assign every point to its nearest medoid; return (assignment, best, cost).
+
+    Without a previous round (``assignment`` None) every point gets a full row.
+    Otherwise only the clusters in ``moved`` (ascending) have a new medoid: a
+    point whose cluster is among them gets a full row, and every other point
+    keeps its cluster and value ``best`` unless a moved column is strictly
+    smaller, or equal with a lower cluster index, which is argmin's
+    lowest-index rule over the whole row. ``assignment`` and ``best`` are
+    updated in place.
+    """
+    k = len(medoids)
+    if assignment is None:
+        assignment, best = _nearest(handler, medoids)
+    else:
+        stale = np.zeros(k, dtype=bool)
+        stale[moved] = True
+        stale = stale[assignment]
+        kept = np.nonzero(~stale)[0]
+        cols, values = _nearest(handler, medoids[moved], kept)
+        cols = moved[cols]
+        take = (values < best[kept]) | ((values == best[kept]) & (cols < assignment[kept]))
+        assignment[kept[take]] = cols[take]
+        best[kept[take]] = values[take]
+        rows = np.nonzero(stale)[0]
+        assignment[rows], best[rows] = _nearest(handler, medoids, rows)
     # a medoid always belongs to its own cluster, even among exact duplicates
     assignment[medoids] = np.arange(k)
-    mind = handler.finalize(values[np.arange(len(assignment)), assignment])
+    mind = handler.finalize(best.copy())
     mind[medoids] = 0.0
-    return assignment, float(mind @ weights)
+    return assignment, best, float(mind @ weights)
 
 
 # -- proxies ---------------------------------------------------------------
@@ -450,15 +508,16 @@ def proxy_matrices(partition: Partition, features: np.ndarray,
     cluster_ids = np.nonzero(sizes)[0]
     counts = sizes[cluster_ids].astype(float)
 
-    sums = np.zeros((partition.k, features.shape[1]))
-    np.add.at(sums, partition.assignment, features)
+    # bincount sums each cluster's rows in index order from 0.0, as np.add.at does
+    sums = np.empty((partition.k, features.shape[1]))
+    for j, column in enumerate(features.T):
+        sums[:, j] = np.bincount(partition.assignment, weights=column, minlength=partition.k)
     proxy_features = sums[cluster_ids] / counts[:, None]
 
     proxy_outcomes = None
     if outcomes is not None:
         outcomes = np.asarray(outcomes, dtype=float)
-        osums = np.zeros(partition.k)
-        np.add.at(osums, partition.assignment, outcomes)
+        osums = np.bincount(partition.assignment, weights=outcomes, minlength=partition.k)
         proxy_outcomes = osums[cluster_ids] / counts
     return cluster_ids, proxy_features, proxy_outcomes, counts
 

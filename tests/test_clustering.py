@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxystream import clustering
 from proxystream.clustering import (
@@ -407,6 +409,119 @@ def test_max_iter_without_convergence_logs_a_warning(caplog):
         k_medoids(pts, 5, seed=1)
     assert not caplog.records
 
+
+# -- incremental assignment ------------------------------------------------
+
+def _full_recompute_work(points, k, spec, seed, max_iter, init, weights):
+    """Reference: k-medoids that rebuilds the whole n x k assignment matrix
+    every round and takes its row argmin."""
+    n = len(points)
+    if k == n:
+        return clustering._singleton_partition(n, init)
+    handler = clustering._handler(points, spec)
+
+    def assign(medoids):
+        values = handler.assign_values(medoids)
+        assignment = np.argmin(values, axis=1).astype(np.int64)
+        assignment[medoids] = np.arange(len(medoids))
+        mind = handler.finalize(values[np.arange(n), assignment])
+        mind[medoids] = 0.0
+        return assignment, float(mind @ weights)
+
+    if k == 1:
+        medoids = clustering._medoid_update(handler, np.zeros(n, dtype=np.int64), 1, weights)
+        assignment, cost = assign(medoids)
+        return Partition(n, 1, assignment, medoids, [cost])
+    if init is None:
+        medoids = np.random.default_rng(seed).choice(n, size=k, replace=False).astype(np.int64)
+    else:
+        medoids = init.copy()
+    history = []
+    for _ in range(max_iter):
+        assignment, cost = assign(medoids)
+        history.append(cost)
+        new = clustering._medoid_update(handler, assignment, k, weights)
+        if np.array_equal(new, medoids):
+            break
+        medoids = new
+    else:
+        assignment, cost = assign(medoids)
+        history.append(cost)
+    return Partition(n, k, assignment, medoids, history)
+
+
+@st.composite
+def _kmedoids_cases(draw):
+    """Small-integer points, so the Gram expansion is exact and equal distances
+    (duplicates, mirror images) tie in floating point. Bin counts of 1, 2 and
+    4 over ranges of at most 4 keep bin centres on multiples of 1/8."""
+    kind = draw(st.sampled_from(["euclidean", "binned", "gower"]))
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 3))
+    pts = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d),
+                                 min_size=n, max_size=n)), dtype=float)
+    if kind == "gower":
+        spec = gower_spec(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    else:
+        spec = binned_spec(n_bins=draw(st.sampled_from([1, 2, 4]))) if kind == "binned" else None
+    k = draw(st.integers(1, n))
+    init = draw(st.none() | st.permutations(range(n)).map(lambda p: p[:k]))
+    weights = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    max_iter = draw(st.sampled_from([1, 2, 100]))
+    limit = draw(st.sampled_from([None, 1, 5, 40]))
+    return pts, k, spec, init, weights, max_iter, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kmedoids_cases(), seed=st.integers(0, 2**16))
+def test_incremental_assignment_matches_full_recompute(case, seed):
+    pts, k, spec, init, weights, max_iter, limit = case
+    args = dict(seed=seed, max_iter=max_iter, init_medoids=init, weights=weights)
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:  # row blocks of a few elements, down to one row
+            mp.setattr(clustering, "_BATCH_LIMIT", limit)
+        mp.setattr(clustering, "_k_medoids_work", _full_recompute_work)
+        try:
+            want = k_medoids(pts, k, spec, **args)
+        except ValueError:  # binned init_medoids sharing a representative
+            want = None
+        mp.undo()
+        if limit is not None:
+            mp.setattr(clustering, "_BATCH_LIMIT", limit)
+        if want is None:
+            with pytest.raises(ValueError):
+                k_medoids(pts, k, spec, **args)
+            return
+        got = k_medoids(pts, k, spec, **args)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.medoids, want.medoids)
+    assert len(got.cost_history) == len(want.cost_history)
+    assert got.cost_history == want.cost_history
+    got.validate()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
+def test_assignment_blocks_stay_within_the_batch_limit(kind, monkeypatch):
+    limit = 50
+    shapes = []
+    for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
+        def record(self, medoids, rows=None, _orig=cls.assign_values):
+            block = _orig(self, medoids, rows)
+            shapes.append(block.shape)
+            return block
+        monkeypatch.setattr(cls, "assign_values", record)
+    monkeypatch.setattr(clustering, "_BATCH_LIMIT", limit)
+    pts, spec = _exact_case(kind)
+    for k in (1, 4, 15, 70):
+        shapes.clear()
+        part = k_medoids(pts, k, spec, seed=3)
+        part.validate()
+        assert shapes
+        # one row at least, else no block past the limit: memory grows with
+        # the block size, never with n x k
+        assert all(r * c <= max(limit, c) for r, c in shapes), shapes
+        assert max(r for r, _ in shapes) < part.n_points
+
 # -- random partitions -----------------------------------------------------
 
 def test_random_partition_k1_is_all_zero():
@@ -493,6 +608,24 @@ def test_proxy_means_match_numpy_means():
             assert np.allclose(px[row], feats[members].mean(axis=0), atol=1e-12)
             assert py[row] == pytest.approx(outs[members].mean(), abs=1e-12)
             assert counts[row] == len(members)
+
+
+def test_proxy_sums_equal_add_at_sums():
+    # bincount and np.add.at both add a cluster's rows in index order from
+    # 0.0, so the proxies must equal the add.at means bit for bit
+    rng = np.random.default_rng(41)
+    for n, d in ((1, 1), (50, 3), (2000, 42)):
+        k = int(rng.integers(1, n + 1))
+        feats = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 6, size=d)
+        outs = rng.normal(size=n) * 1e4
+        part = random_partition(n, k, seed=int(rng.integers(1 << 30)))
+        ids, px, py, counts = proxy_matrices(part, feats, outs)
+        sums = np.zeros((k, d))
+        np.add.at(sums, part.assignment, feats)
+        osums = np.zeros(k)
+        np.add.at(osums, part.assignment, outs)
+        assert np.array_equal(px, sums[ids] / counts[:, None])
+        assert np.array_equal(py, osums[ids] / counts)
 
 
 def test_proxy_row_count_mismatch():
