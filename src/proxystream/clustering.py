@@ -133,9 +133,8 @@ class _EuclideanHandler:
         self.points = np.ascontiguousarray(points, dtype=float)
         self.norms = np.einsum("ij,ij->i", self.points, self.points)
 
-    def assign_values(self, medoids: np.ndarray, rows=None) -> np.ndarray:
-        """Squared distances from ``rows`` (all points by default) to the medoids."""
-        rows = slice(None) if rows is None else rows
+    def assign_values(self, medoids: np.ndarray, rows) -> np.ndarray:
+        """Squared distances from the points at ``rows`` to the medoids."""
         sq = self.points[rows] @ self.points[medoids].T
         sq *= -2.0
         sq += self.norms[rows][:, None]
@@ -189,10 +188,10 @@ class _GowerHandler:
         out /= self.denom
         return out
 
-    def assign_values(self, medoids: np.ndarray, rows=None) -> np.ndarray:
-        """Distances from ``rows`` (all points by default) to the medoids; any
-        subset equals the same entries of the whole matrix, bit for bit."""
-        return self.cross(slice(None) if rows is None else rows, medoids)
+    def assign_values(self, medoids: np.ndarray, rows) -> np.ndarray:
+        """Distances from the points at ``rows`` to the medoids; any subset
+        equals the same entries of the whole matrix, bit for bit."""
+        return self.cross(rows, medoids)
 
     @staticmethod
     def finalize(values: np.ndarray) -> np.ndarray:
@@ -407,10 +406,13 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
     if k == n:
         return _singleton_partition(n, init)
     handler = _handler(points, spec)
+    # round 1 is an incremental round in which every cluster has moved, so
+    # every point gets a full row
+    assignment, best, moved = np.zeros(n, dtype=np.int64), np.empty(n), np.arange(k)
 
     if k == 1:
-        medoids = _medoid_update(handler, np.zeros(n, dtype=np.int64), 1, weights)
-        assignment, _, cost = _reassign(handler, medoids, weights)
+        medoids = _medoid_update(handler, assignment, 1, weights)
+        cost = _reassign(handler, medoids, weights, assignment, best, moved)
         return Partition(n, 1, assignment, medoids, [cost])
 
     if init is None:
@@ -420,10 +422,8 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
         medoids = init.copy()
 
     history: list[float] = []
-    assignment = best = moved = None
     for _ in range(max_iter):
-        assignment, best, cost = _reassign(handler, medoids, weights, assignment, best, moved)
-        history.append(cost)
+        history.append(_reassign(handler, medoids, weights, assignment, best, moved))
         new = _medoid_update(handler, assignment, k, weights)
         moved = np.nonzero(new != medoids)[0]
         if not len(moved):
@@ -432,63 +432,55 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
     else:
         logger.warning("k-medoids reached max_iter=%d without a stable medoid set "
                        "(n=%d, k=%d)", max_iter, n, k)
-        assignment, best, cost = _reassign(handler, medoids, weights, assignment, best, moved)
-        history.append(cost)
+        history.append(_reassign(handler, medoids, weights, assignment, best, moved))
     return Partition(n, k, assignment, medoids, history)
 
 
-def _nearest(handler, medoids: np.ndarray, rows: np.ndarray | None = None):
+def _nearest(handler, medoids: np.ndarray, rows: np.ndarray):
     """Each row's nearest medoid column (lowest index among ties) and its value.
 
-    Rows (all points by default) are taken in blocks of at most
-    ``_BATCH_LIMIT`` elements, one row at least; only the argmin column and its
-    value are kept per row.
+    Rows are taken in blocks of at most ``_BATCH_LIMIT`` elements, one row at
+    least; only the argmin column and its value are kept per row.
     """
-    n = len(handler.points) if rows is None else len(rows)
-    cols = np.empty(n, dtype=np.int64)
-    values = np.empty(n)
+    cols = np.empty(len(rows), dtype=np.int64)
+    values = np.empty(len(rows))
     step = max(1, _BATCH_LIMIT // len(medoids))
-    for start in range(0, n, step):
+    for start in range(0, len(rows), step):
         block = slice(start, start + step)
-        dist = handler.assign_values(medoids, block if rows is None else rows[block])
+        dist = handler.assign_values(medoids, rows[block])
         cols[block] = np.argmin(dist, axis=1)
         values[block] = dist[np.arange(len(dist)), cols[block]]
     return cols, values
 
 
 def _reassign(handler, medoids: np.ndarray, weights: np.ndarray,
-              assignment: np.ndarray | None = None, best: np.ndarray | None = None,
-              moved: np.ndarray | None = None):
-    """Assign every point to its nearest medoid; return (assignment, best, cost).
+              assignment: np.ndarray, best: np.ndarray, moved: np.ndarray) -> float:
+    """Assign every point to its nearest medoid and return the cost.
 
-    Without a previous round (``assignment`` None) every point gets a full row.
-    Otherwise only the clusters in ``moved`` (ascending) have a new medoid: a
-    point whose cluster is among them gets a full row, and every other point
-    keeps its cluster and value ``best`` unless a moved column is strictly
-    smaller, or equal with a lower cluster index, which is argmin's
-    lowest-index rule over the whole row. ``assignment`` and ``best`` are
-    updated in place.
+    Only the clusters in ``moved`` (ascending) have a new medoid since the
+    previous round: a point whose cluster is among them gets a full row, and
+    every other point keeps its cluster and value ``best`` unless a moved
+    column is strictly smaller, or equal with a lower cluster index, which is
+    argmin's lowest-index rule over the whole row. ``assignment`` and
+    ``best`` are updated in place.
     """
     k = len(medoids)
-    if assignment is None:
-        assignment, best = _nearest(handler, medoids)
-    else:
-        stale = np.zeros(k, dtype=bool)
-        stale[moved] = True
-        stale = stale[assignment]
-        kept = np.nonzero(~stale)[0]
-        cols, values = _nearest(handler, medoids[moved], kept)
-        cols = moved[cols]
-        take = (values < best[kept]) | ((values == best[kept]) & (cols < assignment[kept]))
-        assignment[kept[take]] = cols[take]
-        best[kept[take]] = values[take]
-        rows = np.nonzero(stale)[0]
-        assignment[rows], best[rows] = _nearest(handler, medoids, rows)
+    stale = np.zeros(k, dtype=bool)
+    stale[moved] = True
+    stale = stale[assignment]
+    kept = np.nonzero(~stale)[0]
+    cols, values = _nearest(handler, medoids[moved], kept)
+    cols = moved[cols]
+    take = (values < best[kept]) | ((values == best[kept]) & (cols < assignment[kept]))
+    assignment[kept[take]] = cols[take]
+    best[kept[take]] = values[take]
+    rows = np.nonzero(stale)[0]
+    assignment[rows], best[rows] = _nearest(handler, medoids, rows)
     # a medoid always belongs to its own cluster, even among exact duplicates
     assignment[medoids] = np.arange(k)
     mind = handler.finalize(best.copy())
     mind[medoids] = 0.0
-    return assignment, best, float(mind @ weights)
+    return float(mind @ weights)
 
 
 # -- proxies ---------------------------------------------------------------

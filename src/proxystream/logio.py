@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,15 +119,14 @@ def _spread(distinct: list[str], codes: np.ndarray, convert: Callable[[str], flo
 
 
 def _read_columns(path: Path, columns: Sequence[tuple[str, Callable[[str], float] | None]],
-                  rowwise: Collection[str] = ()):
+                  time_column: str):
     """Read the CSV once, in chunks of rows, and return the named columns in order.
 
-    A column with a converter comes back as a float array, each distinct value
-    of a chunk converted once, or each row's value if the column is named in
-    ``rowwise`` (for columns whose values rarely repeat); one without comes
-    back as its distinct values in order of first appearance and each row's
-    code into them. Blank lines are skipped and not counted; the header is
-    row 1.
+    The time column comes back as a float array with each row's value
+    converted. Another column with a converter comes back as a float array,
+    each distinct value of a chunk converted once; one without comes back as
+    its distinct values in order of first appearance and each row's code into
+    them. Blank lines are skipped and not counted; the header is row 1.
     """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -146,7 +145,7 @@ def _read_columns(path: Path, columns: Sequence[tuple[str, Callable[[str], float
                 raise SchemaError(f"row {n}: {len(row)} fields, the header has {len(header)}")
             for (name, convert), (index, parts) in zip(columns, out):
                 values = list(map(itemgetter(position[name]), rows))
-                if convert and name in rowwise:
+                if name == time_column:
                     parts.append(_spread(values, np.arange(len(values)), convert, done + 1))
                     continue
                 index = {} if convert else index
@@ -172,8 +171,7 @@ def read_event_log(path: str | Path, schema: LogSchema) -> EventStore:
          (schema.time_column, lambda raw: _parse_time(raw, schema.time_format)),
          *((c.name, None if c.kind == CATEGORICAL and c.categories is None
             else c.to_field().encode) for c in specs)],
-        # numeric timestamps are nearly all distinct, so coding them first gains nothing
-        rowwise={schema.time_column} if schema.time_format == "number" else ())
+        schema.time_column)
 
     def attribute(spec: ColumnSpec, column) -> tuple[AttributeField, np.ndarray]:
         if isinstance(column, np.ndarray):  # converted while reading

@@ -421,7 +421,7 @@ def _full_recompute_work(points, k, spec, seed, max_iter, init, weights):
     handler = clustering._handler(points, spec)
 
     def assign(medoids):
-        values = handler.assign_values(medoids)
+        values = handler.assign_values(medoids, slice(None))
         assignment = np.argmin(values, axis=1).astype(np.int64)
         assignment[medoids] = np.arange(len(medoids))
         mind = handler.finalize(values[np.arange(n), assignment])
@@ -505,7 +505,7 @@ def test_assignment_blocks_stay_within_the_batch_limit(kind, monkeypatch):
     limit = 50
     shapes = []
     for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
-        def record(self, medoids, rows=None, _orig=cls.assign_values):
+        def record(self, medoids, rows, _orig=cls.assign_values):
             block = _orig(self, medoids, rows)
             shapes.append(block.shape)
             return block
