@@ -76,15 +76,12 @@ class FilterReport:
 def filter_invoice_cases(
     store: EventStore,
     *,
-    vci_label: str = VCI_LABEL,
-    rir_label: str = RIR_LABEL,
     date_window: TimeWindow | None = None,
-    keep_attributes: tuple[str, ...] = INVOICE_ATTRIBUTES,
 ) -> tuple[EventStore, FilterReport]:
     """Drop unusable cases and rebuild the store.
 
     Rules, applied in order with each case counted against the first rule it
-    fails: (1) exactly one ``vci_label`` event and exactly one ``rir_label``
+    fails: (1) exactly one ``VCI_LABEL`` event and exactly one ``RIR_LABEL``
     event; (2) creation strictly before receipt; (3) the case's first event
     at or after the window start and its last event strictly before the
     window end. Rule 3 defaults to calendar 2018 on absolute-dated stores
@@ -92,7 +89,7 @@ def filter_invoice_cases(
 
     The kept store's alphabet is the sorted set of labels actually present
     after filtering, and its entity attributes are reduced to
-    ``keep_attributes`` (intersected with what the store declares). The
+    ``INVOICE_ATTRIBUTES`` (intersected with what the store declares). The
     operation is idempotent.
     """
     if date_window is None and store.time_origin == "epoch_days":
@@ -102,10 +99,10 @@ def filter_invoice_cases(
     n = store.entity_count
     counts = {RULE_MULTIPLICITY: 0, RULE_ORDER: 0, RULE_DATE_RANGE: 0}
 
-    vci_time = label_times(store, vci_label)
-    rir_time = label_times(store, rir_label)
+    vci_time = label_times(store, VCI_LABEL)
+    rir_time = label_times(store, RIR_LABEL)
     label_codes = [alphabet.index(label) if label in alphabet else -1
-                   for label in (vci_label, rir_label)]
+                   for label in (VCI_LABEL, RIR_LABEL)]
     vci_count, rir_count = (np.bincount(store.entity_codes[store.activity_codes == code],
                                         minlength=n) for code in label_codes)
 
@@ -139,7 +136,7 @@ def filter_invoice_cases(
     for new_code, label in enumerate(new_alphabet):
         act_recode[alphabet.index(label)] = new_code
 
-    kept_fields = tuple(f for f in store.entity_schema if f.name in keep_attributes)
+    kept_fields = tuple(f for f in store.entity_schema if f.name in INVOICE_ATTRIBUTES)
 
     filtered = EventStore(
         store.times[row_mask],

@@ -7,7 +7,7 @@ sequence, a model's state and predictions are reproducible exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -24,14 +24,10 @@ class ColdStartError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which regressor to build and its hyperparameters.
-
-    ``input_width`` may be left at 0 to have the pipeline fill it in from
-    the use case's feature width.
-    """
+    """Which regressor to build and its hyperparameters. The input width is
+    not part of the spec: the pipeline takes it from the use case."""
 
     kind: str = RLS_LINEAR
-    input_width: int = 0
     ridge: float = 1e-6
     hidden: int = 16
     learning_rate: float = 0.01
@@ -50,16 +46,11 @@ class ModelSpec:
             if self.epochs < 1:
                 raise ValueError("epochs must be >= 1")
 
-    def with_width(self, input_width: int) -> "ModelSpec":
-        return replace(self, input_width=input_width)
 
-
-def init_model(spec: ModelSpec, seed: SeedLike = 0):
-    if spec.input_width < 1:
-        raise ValueError("input_width must be set before building a model")
+def init_model(spec: ModelSpec, input_width: int, seed: SeedLike = 0):
     if spec.kind == RLS_LINEAR:
-        return RecursiveLeastSquares(spec.input_width, ridge=spec.ridge)
-    return OnlineMLP(spec.input_width, hidden=spec.hidden,
+        return RecursiveLeastSquares(input_width, ridge=spec.ridge)
+    return OnlineMLP(input_width, hidden=spec.hidden,
                      learning_rate=spec.learning_rate, epochs=spec.epochs, seed=seed)
 
 

@@ -190,6 +190,13 @@ class RunResult:
         raise KeyError(f"no step {t} in this run")
 
 
+def check_rho(rho) -> None:
+    """Raise unless ``rho`` is a positive integer (not a bool) or "all"."""
+    if rho != ALL_TOKEN and (isinstance(rho, bool) or not isinstance(rho, (int, np.integer))
+                             or rho < 1):
+        raise ValueError(f"rho must be a positive integer or {ALL_TOKEN!r}, got {rho!r}")
+
+
 def run_stream(store, usecase, rho: int | str, *,
                model: ModelSpec | None = None,
                seed: int = 0,
@@ -205,8 +212,7 @@ def run_stream(store, usecase, rho: int | str, *,
     whole batch into one cluster. ``bypass_clustering`` trains and predicts
     on raw entities instead of proxies (the rho = 1 reference path).
     """
-    if rho != ALL_TOKEN and (not isinstance(rho, (int, np.integer)) or rho < 1):
-        raise ValueError(f"rho must be a positive integer or {ALL_TOKEN!r}, got {rho!r}")
+    check_rho(rho)
     if partitioner not in (KMEDOIDS, RANDOM):
         raise ValueError(f"unknown partitioner {partitioner!r}")
     if collect not in ("slim", "details"):
@@ -222,9 +228,8 @@ def run_stream(store, usecase, rho: int | str, *,
         raise ValueError("steps must be strictly increasing")
 
     spec = model or ModelSpec()
-    if spec.input_width == 0:
-        spec = spec.with_width(ctx.model_width)
-    regressor = init_model(spec, np.random.SeedSequence(seed, spawn_key=(_MODEL_KEY,)))
+    regressor = init_model(spec, ctx.model_width,
+                           np.random.SeedSequence(seed, spawn_key=(_MODEL_KEY,)))
 
     def partition_batch(cluster_x: np.ndarray, phase: int, t: int) -> Partition:
         k = 1 if rho == ALL_TOKEN else cluster_count(len(cluster_x), int(rho))

@@ -15,7 +15,7 @@ import json
 import logging
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +27,7 @@ from .filtering import filter_invoice_cases, invoice_log_schema
 from .logio import read_event_log
 from .metrics import METRIC_NAMES, format_value
 from .models import ModelSpec
-from .pipeline import ALL_TOKEN, KMEDOIDS, RANDOM, RunResult, run_stream
+from .pipeline import ALL_TOKEN, KMEDOIDS, RANDOM, RunResult, check_rho, run_stream
 from .synthetic import (
     archetype_invoice_spec,
     archetype_shopper_spec,
@@ -47,15 +47,15 @@ RESULT_COLUMNS = ("run_id", "use_case", "rho", "tau", "seed", "step", "metric", 
 SUMMARY_COLUMNS = ("run_id", "use_case", "rho", "tau", "seed", "metric", "value")
 
 
-def _reject_unknown(data: dict, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
+def _reject_unknown(data: dict, cls: type, what: str) -> None:
+    """Raise on keys of ``data`` that are not fields of the dataclass ``cls``."""
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def model_spec_from_dict(data: dict) -> ModelSpec:
-    _reject_unknown(data, {"kind", "input_width", "ridge", "hidden",
-                           "learning_rate", "epochs"}, "model")
+    _reject_unknown(data, ModelSpec, "model")
     return ModelSpec(**data)
 
 
@@ -71,8 +71,6 @@ class RunConfig:
     partitioner: str = KMEDOIDS
     distance: str = EUCLIDEAN
     n_bins: int = 20
-    standardize: bool = True
-    bypass_clustering: bool = False
     max_iter: int = 100
     t_start: int | None = None
     t_end: int | None = None
@@ -84,10 +82,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.use_case not in (SUPERMARKET, PAINT_FACTORY):
             raise ValueError(f"unknown use case {self.use_case!r}")
-        if self.rho != ALL_TOKEN and (not isinstance(self.rho, int) or self.rho < 1):
-            raise ValueError(f"rho must be a positive integer or {ALL_TOKEN!r}")
+        check_rho(self.rho)
         if self.partitioner not in (KMEDOIDS, RANDOM):
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
+        if self.distance not in (EUCLIDEAN, BINNED):
+            raise ValueError(f"unknown distance {self.distance!r}")
         if self.use_case == SUPERMARKET and (self.tau is None or self.tau < 2):
             raise ValueError("supermarket runs need tau >= 2")
         if (self.t_start is None) != (self.t_end is None):
@@ -106,15 +105,8 @@ class RunConfig:
         return "" if self.use_case == PAINT_FACTORY or self.tau is None else str(self.tau)
 
 
-_RUN_KEYS = {
-    "use_case", "rho", "tau", "seed", "model", "partitioner", "distance",
-    "n_bins", "standardize", "bypass_clustering", "max_iter",
-    "t_start", "t_end", "events", "time_format", "filter_cases", "generator",
-}
-
-
 def run_config_from_dict(data: dict) -> RunConfig:
-    _reject_unknown(data, _RUN_KEYS, "run config")
+    _reject_unknown(data, RunConfig, "run config")
     data = dict(data)
     if "model" in data and isinstance(data["model"], dict):
         data["model"] = model_spec_from_dict(data["model"])
@@ -132,8 +124,6 @@ def run_id_for(cfg: RunConfig) -> str:
     parts.append(f"seed-{cfg.seed}")
     if cfg.partitioner != KMEDOIDS:
         parts.append(cfg.partitioner)
-    if cfg.bypass_clustering:
-        parts.append("bypass")
     if cfg.model.kind != ModelSpec().kind:
         parts.append(cfg.model.kind)
     return "_".join(parts)
@@ -148,7 +138,6 @@ def generate_from_dict(data: dict):
     ("archetype" | "noise_dominated"), then the preset's keyword arguments.
     Returns (store, truth).
     """
-    _reject_unknown(data, {"kind", "preset"} | _GENERATOR_PARAMS, "generator")
     data = dict(data)
     kind = data.pop("kind", None)
     preset = data.pop("preset", "archetype")
@@ -168,10 +157,6 @@ def generate_from_dict(data: dict):
     except TypeError as exc:
         raise ValueError(f"bad generator parameters: {exc}") from None
     raise ValueError(f"unknown generator kind {kind!r}")
-
-
-_GENERATOR_PARAMS = {"n_entities", "horizon", "n_archetypes", "noise_scale",
-                     "entity_spread", "seed"}
 
 
 def load_store_for(cfg: RunConfig):
@@ -194,8 +179,7 @@ def load_store_for(cfg: RunConfig):
 
 def make_usecase(cfg: RunConfig):
     if cfg.use_case == SUPERMARKET:
-        return SupermarketUseCase(tau=cfg.tau, distance_kind=cfg.distance,
-                                  n_bins=cfg.n_bins, standardize=cfg.standardize)
+        return SupermarketUseCase(tau=cfg.tau, distance_kind=cfg.distance, n_bins=cfg.n_bins)
     return PaintFactoryUseCase()
 
 
@@ -213,7 +197,6 @@ def execute_run(cfg: RunConfig, store=None) -> RunResult:
         seed=cfg.seed,
         steps=steps,
         partitioner=cfg.partitioner,
-        bypass_clustering=cfg.bypass_clustering,
         max_iter=cfg.max_iter,
     )
 
@@ -229,7 +212,7 @@ class SweepConfig:
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
-    _reject_unknown(data, {"base", "rhos", "taus", "seeds"}, "sweep config")
+    _reject_unknown(data, SweepConfig, "sweep config")
     base = run_config_from_dict(data.get("base", {}))
     rhos = tuple(data.get("rhos", [base.rho]))
     taus = data.get("taus")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace as _replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class ShopperStreamSpec:
     attr_noise: float = 0.0
     start_spread: int = 0
     seed: int = 0
-    alphabet: tuple[str, ...] = SHOPPER_LABELS
 
     def __post_init__(self) -> None:
         if self.n_entities < 1 or self.horizon < 1:
@@ -100,7 +99,7 @@ class ShopperStreamSpec:
         if not self.archetypes:
             raise ValueError("need at least one archetype")
         for a in self.archetypes:
-            if len(a.label_weights) != len(self.alphabet):
+            if len(a.label_weights) != len(SHOPPER_LABELS):
                 raise ValueError(f"archetype {a.name!r} has wrong label_weights length")
 
 
@@ -125,16 +124,16 @@ class ShopperTruth:
                     ])
 
 
-def default_shopper_archetypes(n_archetypes: int, alphabet: Sequence[str] = SHOPPER_LABELS,
-                               ) -> tuple[ShopperArchetype, ...]:
+def default_shopper_archetypes(n_archetypes: int) -> tuple[ShopperArchetype, ...]:
     """Evenly spread spend lines with one preferred department each."""
     slopes = (-0.6, 0.3, 0.0, -0.3, 0.6)
     visits = (1, 2, 4, 2, 1)
+    n_labels = len(SHOPPER_LABELS)
     out = []
     for i in range(n_archetypes):
-        pref = i % len(alphabet)
-        rest = (1.0 - 0.58) / (len(alphabet) - 1)
-        weights = tuple(0.58 if j == pref else rest for j in range(len(alphabet)))
+        pref = i % n_labels
+        rest = (1.0 - 0.58) / (n_labels - 1)
+        weights = tuple(0.58 if j == pref else rest for j in range(n_labels))
         out.append(ShopperArchetype(
             name=f"shopper_{i}",
             spend_base=10.0 + 10.0 * i,
@@ -238,7 +237,7 @@ def generate_shopper_stream(spec: ShopperStreamSpec) -> tuple[EventStore, Shoppe
         for a in range(n_arch):
             mask = arch_of_visit == a
             labels[mask] = np.searchsorted(cdf[a], u[mask], side="right")
-        labels = np.minimum(labels, len(spec.alphabet) - 1)
+        labels = np.minimum(labels, len(SHOPPER_LABELS) - 1)
 
         value = np.repeat(spend / counts, counts)
         n_items = items[arch_of_visit]
@@ -266,7 +265,7 @@ def generate_shopper_stream(spec: ShopperStreamSpec) -> tuple[EventStore, Shoppe
         np.concatenate(ents_parts),
         np.concatenate(acts_parts),
         list(range(n)),
-        spec.alphabet,
+        SHOPPER_LABELS,
         event_schema=SHOPPER_EVENT_SCHEMA,
         event_attrs={k: np.concatenate(v) for k, v in attr_parts.items()},
         time_origin=None,
@@ -305,9 +304,8 @@ def invoice_category_lists() -> dict[str, tuple[str, ...]]:
         for name, size in sizes.items()
     }
 
-def invoice_entity_schema(categories: Mapping[str, tuple[str, ...]] | None = None,
-                          ) -> tuple[AttributeField, ...]:
-    cats = dict(categories or invoice_category_lists())
+def invoice_entity_schema() -> tuple[AttributeField, ...]:
+    cats = invoice_category_lists()
     fields = []
     for name in INVOICE_ATTRIBUTES:
         if name in INVOICE_BOOLEAN_ATTRIBUTES:
@@ -387,12 +385,10 @@ class InvoiceTruth:
                 ])
 
 
-def default_invoice_archetypes(n_archetypes: int,
-                               duration_low: float = 3.0,
-                               duration_high: float = 15.0) -> tuple[InvoiceArchetype, ...]:
-    """Duration levels spread over [low, high] with distinct attribute habits."""
+def default_invoice_archetypes(n_archetypes: int) -> tuple[InvoiceArchetype, ...]:
+    """Duration levels spread over [3, 15] days with distinct attribute habits."""
     cats = invoice_category_lists()
-    means = np.linspace(duration_low, duration_high, n_archetypes)
+    means = np.linspace(3.0, 15.0, n_archetypes)
     n_prefix = len(INVOICE_PREFIX_LABELS)
     out = []
     for i in range(n_archetypes):

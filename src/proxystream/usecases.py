@@ -57,11 +57,6 @@ class SupermarketUseCase:
     tau: int = 3
     distance_kind: str = EUCLIDEAN
     n_bins: int = 20
-    standardize: bool = True
-
-    name = "supermarket"
-    resolve_by = RESOLVE_NEXT_STEP
-    reuse_encodings = True
 
     def __post_init__(self) -> None:
         if self.tau < 2:
@@ -113,7 +108,7 @@ class SupermarketContext:
         tensors = encode_journeys(self.store, codes, window_end, self.tau)
         model_x = tensors.reshape(len(codes), -1)
         cluster_x = linear_fit_batch(tensors)
-        if self.usecase.standardize and len(codes):
+        if len(codes):
             cluster_x = standardize_columns(cluster_x)
         return model_x, cluster_x
 
@@ -137,23 +132,16 @@ class SupermarketContext:
 class PaintFactoryUseCase:
     """Invoice duration prediction at creation time."""
 
-    vci_label: str = VCI_LABEL
-    rir_label: str = RIR_LABEL
-
-    name = "paint_factory"
-    resolve_by = RESOLVE_TRAINING_MEMBERSHIP
-    reuse_encodings = False
-
     def prepare(self, store: EventStore) -> "PaintFactoryContext":
-        return PaintFactoryContext(store, self)
+        return PaintFactoryContext(store)
 
     def default_steps(self, store: EventStore) -> range:
         """Creation day of the first case through the receipt day of the
         last, so late predictions still get resolved."""
         if not len(store):
             return range(0, 0)
-        creation = label_times(store, self.vci_label)
-        receipt = label_times(store, self.rir_label)
+        creation = label_times(store, VCI_LABEL)
+        receipt = label_times(store, RIR_LABEL)
         known = np.isfinite(creation) & np.isfinite(receipt)
         if not known.any():
             return range(0, 0)
@@ -167,11 +155,10 @@ class PaintFactoryContext:
     resolve_by = RESOLVE_TRAINING_MEMBERSHIP
     reuse_encodings = False
 
-    def __init__(self, store: EventStore, usecase: PaintFactoryUseCase) -> None:
+    def __init__(self, store: EventStore) -> None:
         self.store = store
-        self.usecase = usecase
-        self.creation_times = label_times(store, usecase.vci_label)
-        self.receipt_times = label_times(store, usecase.rir_label)
+        self.creation_times = label_times(store, VCI_LABEL)
+        self.receipt_times = label_times(store, RIR_LABEL)
         self.durations = self.receipt_times - self.creation_times
         self.prefix_counts = prefix_label_counts(store, self.creation_times)
         self.model_width = one_hot_width(store)

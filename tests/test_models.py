@@ -178,12 +178,14 @@ def test_mlp_cold_start_and_validation():
 # -- model spec ------------------------------------------------------------
 
 def test_model_spec_builds_both_kinds():
-    rls = init_model(ModelSpec(kind="rls_linear", input_width=3, ridge=1e-8))
+    rls = init_model(ModelSpec(kind="rls_linear", ridge=1e-8), 3)
     assert isinstance(rls, RecursiveLeastSquares)
+    assert rls.input_width == 3
     assert rls.ridge == 1e-8
-    mlp = init_model(ModelSpec(kind="sgd_mlp", input_width=3, hidden=7,
-                               learning_rate=0.2, epochs=2), seed=5)
+    mlp = init_model(ModelSpec(kind="sgd_mlp", hidden=7,
+                               learning_rate=0.2, epochs=2), 3, seed=5)
     assert isinstance(mlp, OnlineMLP)
+    assert mlp.input_width == 3
     assert mlp.hidden == 7
     assert mlp.learning_rate == 0.2
     assert mlp.epochs == 2
@@ -201,10 +203,4 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(kind="sgd_mlp", epochs=0)
     with pytest.raises(ValueError):
-        init_model(ModelSpec())  # width never filled in
-
-
-def test_model_spec_with_width():
-    spec = ModelSpec().with_width(42)
-    assert spec.input_width == 42
-    assert init_model(spec).input_width == 42
+        init_model(ModelSpec(), 0)

@@ -299,6 +299,8 @@ def test_run_stream_validates_arguments():
     with pytest.raises(ValueError):
         run_stream(store, usecase, 1.5)
     with pytest.raises(ValueError):
+        run_stream(store, usecase, True)
+    with pytest.raises(ValueError):
         run_stream(store, usecase, 2, partitioner="spectral")
     with pytest.raises(ValueError):
         run_stream(store, usecase, 2, collect="everything")

@@ -4,11 +4,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxystream import sweep as sweep_mod
 from proxystream.cli import main
@@ -74,7 +77,6 @@ def test_run_config_defaults() -> None:
     assert cfg.seed == 0
     assert cfg.partitioner == "kmedoids"
     assert cfg.model == ModelSpec()
-    assert cfg.bypass_clustering is False
 
 
 def test_run_config_parses_nested_model() -> None:
@@ -93,6 +95,10 @@ def test_run_config_validation() -> None:
         {"generator": tiny_generator(), "rho": 0},
         {"generator": tiny_generator(), "rho": "some"},
         {"generator": tiny_generator(), "rho": 1.5},
+        {"generator": tiny_generator(), "rho": True},
+        {"generator": tiny_generator(), "distance": "cosine"},
+        {"generator": tiny_generator(), "standardize": False},
+        {"generator": tiny_generator(), "bypass_clustering": True},
         {"generator": tiny_generator(), "tau": None},
         {"generator": tiny_generator(), "tau": 1},
         {"generator": tiny_generator(), "use_case": "bakery"},
@@ -101,10 +107,13 @@ def test_run_config_validation() -> None:
         {"generator": tiny_generator(), "events": "x.csv"},
         {},
         {"generator": tiny_generator(), "model": {"kind": "rls_linear", "depth": 3}},
+        {"generator": tiny_generator(), "model": {"kind": "rls_linear", "input_width": 5}},
     ]
     for data in bad_configs:
         with pytest.raises(ValueError):
             run_config_from_dict(data)
+    with pytest.raises(ValueError):
+        expand_grid(SweepConfig(base=base_config(), rhos=(True, 2)))
 
 
 def test_rho_all_token_accepted() -> None:
@@ -133,7 +142,6 @@ def test_run_id_composition() -> None:
     })
     assert run_id_for(paint) == "paint_factory_rho-all_seed-1"
     assert run_id_for(base_config(partitioner="random")).endswith("_random")
-    assert run_id_for(base_config(bypass_clustering=True)).endswith("_bypass")
     assert run_id_for(
         base_config(model={"kind": "sgd_mlp"})
     ).endswith("_sgd_mlp")
@@ -330,6 +338,25 @@ def test_worker_pool_matches_serial_execution(tmp_path: Path) -> None:
     write_sweep_outputs(pooled, execute_sweep(sweep, jobs=2), sweep)
     assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
     assert (serial / "summary.csv").read_bytes() == (pooled / "summary.csv").read_bytes()
+
+
+@settings(max_examples=5, deadline=None)
+@given(rhos=st.lists(st.sampled_from([1, 2, "all"]), min_size=1, max_size=3, unique=True),
+       taus=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2, unique=True),
+       seeds=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2, unique=True),
+       n_entities=st.integers(10, 300))
+def test_serial_sweep_equals_pooled_sweep_on_random_grids(rhos, taus, seeds,
+                                                          n_entities) -> None:
+    sweep = SweepConfig(base=base_config(generator=tiny_generator(n_entities=n_entities)),
+                        rhos=tuple(rhos), taus=tuple(taus), seeds=tuple(seeds))
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, pooled = Path(tmp, "serial"), Path(tmp, "pooled")
+        write_sweep_outputs(serial, execute_sweep(sweep, jobs=1), sweep)
+        write_sweep_outputs(pooled, execute_sweep(sweep, jobs=2), sweep)
+        names = sorted(p.name for p in serial.glob("*.csv"))
+        assert names == sorted(p.name for p in pooled.glob("*.csv"))
+        for name in names:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
 def test_full_capacity_memory_grid(tmp_path: Path) -> None:
