@@ -16,6 +16,15 @@ only if that distance is strictly smaller than its kept one, or equal with a
 lower cluster index. That explicit rule gives the same clusters as an argmin
 over the whole row.
 
+The medoid update is incremental too. Only clusters that gained or lost a
+point in the latest assignment are recomputed; every other cluster keeps its
+medoid, which is what a recompute over the same members would return. Block
+shapes depend on the cluster size s alone: while s * s fits
+``_BATCH_LIMIT``, whole clusters are stacked as one symmetric product each
+(so every cluster of at most 512 members at the default limit gets the bits
+of its own ``cross(m, m)``); a larger cluster is summed alone in row blocks
+of ``_BATCH_LIMIT // s`` rows.
+
 Determinism contract: identical inputs and seed give identical partitions.
 Ties in assignment go to the lowest cluster index, ties in the medoid update
 to the lowest member index, and the k == n and k == 1 paths never draw from
@@ -36,8 +45,13 @@ BINNED = "binned_euclidean"
 GOWER = "gower"
 _KINDS = (EUCLIDEAN, BINNED, GOWER)
 
-# cap on the elements of one distance block, in assignment and medoid update
-_BATCH_LIMIT = 30_000_000
+# Cap on the elements of one distance block, in assignment and medoid update:
+# 2^18 float64 values, 2 MiB, half of a 4 MiB L2 cache, so the elementwise
+# passes after each product stay in cache. Swept on perfbench run_s (one BLAS
+# thread, medians of 3): 2^18 was best on shop-rho2 and shop-rho1024; 2^15
+# was 2% and 17% slower, 2^19 18% and 4%, and 2^21 3% and 23%, which gave
+# back 38% of the shop-rho1024 gain over 30 M-element (240 MB) blocks.
+_BATCH_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +146,7 @@ class _EuclideanHandler:
     def __init__(self, points: np.ndarray) -> None:
         self.points = np.ascontiguousarray(points, dtype=float)
         self.norms = np.einsum("ij,ij->i", self.points, self.points)
+        self._sums = np.empty(0)
 
     def assign_values(self, medoids: np.ndarray, rows) -> np.ndarray:
         """Squared distances from the points at ``rows`` to the medoids."""
@@ -154,10 +169,18 @@ class _EuclideanHandler:
         """
         a = self.points[rows]
         b = a if cols is rows else self.points[cols]
-        sq = (self.norms[rows][..., :, None] + self.norms[cols][..., None, :]
-              - 2.0 * (a @ np.swapaxes(b, -1, -2)))
-        np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq)
+        d = a @ np.swapaxes(b, -1, -2)
+        d *= 2.0
+        # the norm sums go to a buffer kept across calls, so that a block
+        # allocates one array: freeing two block-sized arrays at once lets
+        # malloc return them to the system and fault them in again next block
+        if self._sums.size < d.size:
+            self._sums = np.empty(d.size)
+        sums = self._sums[:d.size].reshape(d.shape)
+        np.add(self.norms[rows][..., :, None], self.norms[cols][..., None, :], out=sums)
+        np.subtract(sums, d, out=d)
+        np.maximum(d, 0.0, out=d)
+        return np.sqrt(d, out=d)
 
 
 class _GowerHandler:
@@ -198,31 +221,48 @@ class _GowerHandler:
         return values
 
 
-def _medoid_update(handler, assignment: np.ndarray, k: int,
-                   weights: np.ndarray) -> np.ndarray:
+def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
+                   medoids: np.ndarray | None = None,
+                   dirty: np.ndarray | None = None) -> np.ndarray:
     """Move each medoid to the member with the least weighted distance sum.
 
-    Clusters of equal size s are stacked into one (g, s, s) distance tensor;
-    a group past ``_BATCH_LIMIT`` elements is evaluated in row chunks. The
-    stacked matmul gives each cluster the same sums as its own gemv. Ties go
-    to the lowest member index.
+    Only the clusters flagged in the boolean mask ``dirty`` are recomputed;
+    every other cluster keeps its entry of ``medoids``. Without a mask every
+    cluster is recomputed.
+
+    Block shapes depend on the cluster size s alone, never on how many
+    clusters share it, so a cluster's medoid is the same bits whichever
+    clusters are recomputed with it. When s * s fits ``_BATCH_LIMIT``, whole
+    clusters are stacked as ``cross(members, members)``, up to the limit per
+    block; one operand then serves both sides of each product, BLAS takes its
+    symmetric path, and each cluster gets the sums of its own
+    ``cross(m, m) @ w``. A larger cluster is summed alone in row blocks of
+    ``_BATCH_LIMIT // s`` rows (one at least). Ties go to the lowest member
+    index.
     """
-    order = np.argsort(assignment, kind="stable")
     sizes = np.bincount(assignment, minlength=k)
     if (sizes == 0).any():
         raise ValueError("empty cluster in medoid update")
-    starts = np.cumsum(sizes) - sizes
-    new = np.empty(k, dtype=np.int64)
-    for s in np.unique(sizes):
-        clusters = np.nonzero(sizes == s)[0]
-        members = order[starts[clusters][:, None] + np.arange(s)]
-        w = weights[members][..., None]
-        chunk = max(1, _BATCH_LIMIT // (len(clusters) * s))
-        blocks = [members] if chunk >= s else [
-            members[:, i:i + chunk] for i in range(0, s, chunk)]
-        sums = np.concatenate(
-            [(handler.cross(rows, members) @ w)[..., 0] for rows in blocks], axis=1)
-        new[clusters] = members[np.arange(len(clusters)), np.argmin(sums, axis=1)]
+    if dirty is None:
+        dirty, medoids = np.ones(k, dtype=bool), np.empty(k, dtype=np.int64)
+    new = medoids.copy()
+    listed = np.nonzero(dirty[assignment])[0]
+    order = listed[np.argsort(assignment[listed], kind="stable")]
+    todo = np.where(dirty, sizes, 0)
+    starts = np.cumsum(todo) - todo
+    for s in np.unique(todo[todo > 0]):
+        clusters = np.nonzero(todo == s)[0]
+        per_block = max(1, _BATCH_LIMIT // (s * s))
+        step = max(1, _BATCH_LIMIT // s)
+        for first in range(0, len(clusters), per_block):
+            group = clusters[first:first + per_block]
+            members = order[starts[group][:, None] + np.arange(s)]
+            w = weights[members][..., None]
+            blocks = [members] if step >= s else [
+                members[:, i:i + step] for i in range(0, s, step)]
+            sums = np.concatenate(
+                [(handler.cross(rows, members) @ w)[..., 0] for rows in blocks], axis=1)
+            new[group] = members[np.arange(len(group)), np.argmin(sums, axis=1)]
     return new
 
 
@@ -422,9 +462,17 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
         medoids = init.copy()
 
     history: list[float] = []
+    # a cluster whose members did not change since its medoid was computed
+    # would get the same medoid again; no medoid is computed before round 1
+    dirty = np.ones(k, dtype=bool)
     for _ in range(max_iter):
+        before = assignment.copy()
         history.append(_reassign(handler, medoids, weights, assignment, best, moved))
-        new = _medoid_update(handler, assignment, k, weights)
+        changed = before != assignment
+        dirty[before[changed]] = True
+        dirty[assignment[changed]] = True
+        new = _medoid_update(handler, assignment, k, weights, medoids, dirty)
+        dirty[:] = False
         moved = np.nonzero(new != medoids)[0]
         if not len(moved):
             break

@@ -29,6 +29,8 @@ from .events import (
     SchemaError,
 )
 
+TIME_FORMATS = ("number", "iso8601")
+
 
 @dataclass(frozen=True)
 class ColumnSpec:
@@ -53,13 +55,13 @@ class LogSchema:
     entity_column: str = "entity_id"
     activity_column: str = "activity"
     time_column: str = "timestamp"
-    time_format: str = "number"  # "number" | "iso8601"
+    time_format: str = "number"  # one of TIME_FORMATS
     event_attributes: tuple[ColumnSpec, ...] = ()
     entity_attributes: tuple[ColumnSpec, ...] = ()
     alphabet: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.time_format not in ("number", "iso8601"):
+        if self.time_format not in TIME_FORMATS:
             raise SchemaError(f"unknown time format {self.time_format!r}")
 
 

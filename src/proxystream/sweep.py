@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .clustering import BINNED, EUCLIDEAN
 from .filtering import filter_invoice_cases, invoice_log_schema
-from .logio import read_event_log
+from .logio import TIME_FORMATS, read_event_log
 from .metrics import METRIC_NAMES, format_value
 from .models import ModelSpec
 from .pipeline import ALL_TOKEN, KMEDOIDS, RANDOM, RunResult, check_rho, run_stream
@@ -87,6 +87,10 @@ class RunConfig:
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
         if self.distance not in (EUCLIDEAN, BINNED):
             raise ValueError(f"unknown distance {self.distance!r}")
+        if self.n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
+        if self.time_format not in TIME_FORMATS:
+            raise ValueError(f"unknown time format {self.time_format!r}")
         if self.use_case == SUPERMARKET and (self.tau is None or self.tau < 2):
             raise ValueError("supermarket runs need tau >= 2")
         if (self.t_start is None) != (self.t_end is None):

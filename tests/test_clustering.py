@@ -522,6 +522,97 @@ def test_assignment_blocks_stay_within_the_batch_limit(kind, monkeypatch):
         assert all(r * c <= max(limit, c) for r, c in shapes), shapes
         assert max(r for r, _ in shapes) < part.n_points
 
+
+def _record_cross(monkeypatch, blocks):
+    """Append (shape, rows is cols) for every ``cross`` block made inside
+    ``_medoid_update`` (Gower assignment calls ``cross`` too)."""
+    inside = []
+    update = clustering._medoid_update
+
+    def tracked_update(*args):
+        inside.append(True)
+        try:
+            return update(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(clustering, "_medoid_update", tracked_update)
+    for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
+        def record(self, rows, cols, _orig=cls.cross):
+            block = _orig(self, rows, cols)
+            if inside:
+                blocks.append((block.shape, rows is cols))
+            return block
+        monkeypatch.setattr(cls, "cross", record)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
+def test_medoid_update_blocks_stay_within_the_batch_limit(kind, monkeypatch):
+    limit = 50
+    blocks = []
+    _record_cross(monkeypatch, blocks)
+    monkeypatch.setattr(clustering, "_BATCH_LIMIT", limit)
+    pts, spec = _exact_case(kind)
+    for k in (1, 4, 15, 70):
+        blocks.clear()
+        part = k_medoids(pts, k, spec, seed=3)
+        part.validate()
+        assert blocks
+        # (clusters, rows, s): one row of one cluster at least, else no block
+        # past the limit: memory grows with the block size, never with s x s
+        assert all(g * r * s <= max(limit, s) for (g, r, s), _ in blocks), blocks
+        if k == 1:
+            assert max(r for (_, r, _), _ in blocks) < part.n_points
+
+
+def test_medoid_update_of_clean_clusters_computes_nothing(monkeypatch):
+    pts, assignment, k, weights, spec = _medoid_case("euclidean", 0)
+    handler = clustering._handler(pts, spec)
+    medoids = _oracle_medoids(pts, assignment, k, weights, spec)
+    blocks = []
+    _record_cross(monkeypatch, blocks)
+    got = clustering._medoid_update(handler, assignment, k, weights, medoids,
+                                    np.zeros(k, dtype=bool))
+    assert not blocks
+    assert np.array_equal(got, medoids) and got is not medoids
+    # a dirty cluster is recomputed from its members, whatever it held before
+    dirty = np.zeros(k, dtype=bool)
+    dirty[[3, 15]] = True
+    stale = medoids.copy()
+    stale[dirty] = -1
+    got = clustering._medoid_update(handler, assignment, k, weights, stale, dirty)
+    assert len(blocks) == 2
+    assert np.array_equal(got, medoids)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "gower"])
+def test_medoid_update_matches_each_clusters_own_product(kind, monkeypatch):
+    # real-valued points, so the sums carry rounding that depends on the
+    # product's shape: a cluster stacked with others must get the bits of its
+    # own cross(m, m), and every cluster of at most 512 members fits one
+    # whole (clusters, s, s) block at the default limit
+    rng = np.random.default_rng(12)
+    sizes = [1] + [2] * 60 + [3, 7, 7, 40, 100, 100, 300, 300, 512]
+    k, n = len(sizes), sum(sizes)
+    pts = rng.normal(size=(n, 6))
+    if kind == "gower":
+        pts[:, 4:] = rng.integers(0, 3, size=(n, 2))
+        spec = gower_spec([False] * 4 + [True] * 2).for_batch(pts)
+    else:
+        spec = euclidean_spec()
+    assignment = rng.permutation(np.repeat(np.arange(k), sizes))
+    weights = rng.integers(1, 3, n).astype(float)
+    handler = clustering._handler(pts, spec)
+    want = np.empty(k, dtype=np.int64)
+    for c in range(k):
+        members = np.nonzero(assignment == c)[0]
+        want[c] = members[np.argmin(handler.cross(members, members) @ weights[members])]
+    blocks = []
+    _record_cross(monkeypatch, blocks)
+    got = clustering._medoid_update(handler, assignment, k, weights)
+    assert np.array_equal(got, want)
+    assert all(same and r == s for (_, r, s), same in blocks), blocks
+
+
 # -- random partitions -----------------------------------------------------
 
 def test_random_partition_k1_is_all_zero():

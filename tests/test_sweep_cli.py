@@ -97,6 +97,8 @@ def test_run_config_validation() -> None:
         {"generator": tiny_generator(), "rho": 1.5},
         {"generator": tiny_generator(), "rho": True},
         {"generator": tiny_generator(), "distance": "cosine"},
+        {"generator": tiny_generator(), "distance": "binned_euclidean", "n_bins": 0},
+        {"use_case": "paint_factory", "events": "x.csv", "time_format": "unix"},
         {"generator": tiny_generator(), "standardize": False},
         {"generator": tiny_generator(), "bypass_clustering": True},
         {"generator": tiny_generator(), "tau": None},
