@@ -1,4 +1,4 @@
-"""Behaviour pin: five small runs and one sweep must write the golden CSVs
+"""Behaviour pin: six small runs and one sweep must write the golden CSVs
 byte for byte.
 
 Each run config goes through ``execute_run`` and ``write_run_outputs``, and its
@@ -57,6 +57,13 @@ CONFIGS = {
         "t_start": 4, "t_end": 23, "partitioner": "random",
         "distance": "binned_euclidean",
         "generator": {"kind": "shopper", "n_entities": 800, "horizon": 24, "seed": 2},
+    },
+    # n_bins 3 makes some shoppers share a bin-center row, so k-medoids runs
+    # its duplicate collapse and maps medoids back to first members
+    "supermarket-binned-kmedoids-rho8": {
+        "use_case": "supermarket", "rho": 8, "tau": 3, "seed": 0,
+        "t_start": 4, "t_end": 16, "distance": "binned_euclidean", "n_bins": 3,
+        "generator": {"kind": "shopper", "n_entities": 400, "horizon": 16, "seed": 6},
     },
     "supermarket-mlp-rho1": {
         "use_case": "supermarket", "rho": 1, "tau": 3, "seed": 0,
