@@ -78,10 +78,9 @@ print(f"  column stds in {{0, 1}}: unique ~ "
 # sanity check, the mean pairwise distance within an archetype should be
 # clearly below the distance across archetypes.
 
-from proxystream.clustering import cross_distances, euclidean_spec
+from proxystream.clustering import cross_distances
 
-spec = euclidean_spec().for_batch(features)
-distances = cross_distances(features, features, spec)
+distances = cross_distances(features, features)
 same = truth.archetypes[:, None] == truth.archetypes[None, :]
 off_diagonal = ~np.eye(len(codes), dtype=bool)
 print(f"\nmean distance within archetypes: "

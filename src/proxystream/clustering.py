@@ -5,7 +5,10 @@ its nearest medoid, then move each medoid to the member minimising the
 cluster's summed distance, until the medoid set is stable. Three distance
 kinds are supported: plain Euclidean, Euclidean over per-dimension bin
 centers (with exact duplicates collapsed into weighted points), and Gower
-dissimilarity for mixed numeric/categorical rows.
+dissimilarity for mixed numeric/categorical rows. A caller chooses only the
+kind, the bin count and Gower's categorical columns; every batch statistic
+(bin edges, numeric ranges) is taken from the rows being compared, which is
+how Gower (Biometrics 27, 1971) defines the coefficient.
 
 Assignment is incremental. The first round finds every point's nearest
 medoid in row blocks of at most ``_BATCH_LIMIT`` elements and keeps only
@@ -33,7 +36,7 @@ the RNG.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,50 +59,23 @@ _BATCH_LIMIT = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class DistanceSpec:
-    """Distance kind plus the feature-space statistics it needs.
+    """What a caller chooses about a distance: its kind, the bin count of the
+    binned kind and the categorical columns of Gower (none when unset).
 
-    Gower needs per-column numeric ranges and a categorical mask; the binned
-    kind needs per-column bin edges. Batch-dependent statistics may be left
-    unset, in which case :func:`k_medoids` and :func:`cross_distances` derive
-    them from the rows they are given.
+    Bin edges and Gower's numeric ranges are not settable: :func:`k_medoids`
+    takes them from the points it partitions and :func:`cross_distances` from
+    the stacked rows of both sets.
     """
 
     kind: str = EUCLIDEAN
     n_bins: int = 20
     categorical_mask: np.ndarray | None = None
-    numeric_ranges: np.ndarray | None = None
-    bin_lo: np.ndarray | None = None
-    bin_hi: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distance kind {self.kind!r}")
         if self.kind == BINNED and self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-
-    def for_batch(self, points: np.ndarray) -> "DistanceSpec":
-        """Fill missing batch statistics from ``points``."""
-        points = np.asarray(points, dtype=float)
-        if self.kind == BINNED and (self.bin_lo is None or self.bin_hi is None):
-            return replace(self, bin_lo=points.min(axis=0), bin_hi=points.max(axis=0))
-        if self.kind == GOWER and self.numeric_ranges is None:
-            mask = self._mask(points.shape[1])
-            num = ~mask
-            ranges = np.zeros(points.shape[1])
-            if num.any():
-                ranges[num] = points[:, num].max(axis=0) - points[:, num].min(axis=0)
-            return replace(self, numeric_ranges=ranges)
-        return self
-
-    def _mask(self, width: int) -> np.ndarray:
-        if self.kind != GOWER:
-            raise ValueError("categorical mask only applies to gower distances")
-        if self.categorical_mask is None:
-            return np.zeros(width, dtype=bool)
-        mask = np.asarray(self.categorical_mask, dtype=bool)
-        if mask.shape != (width,):
-            raise ValueError(f"categorical mask has shape {mask.shape}, need ({width},)")
-        return mask
 
 
 def euclidean_spec() -> DistanceSpec:
@@ -110,22 +86,19 @@ def binned_spec(n_bins: int = 20) -> DistanceSpec:
     return DistanceSpec(BINNED, n_bins=n_bins)
 
 
-def gower_spec(categorical_mask: np.ndarray | Sequence[bool],
-               numeric_ranges: np.ndarray | Sequence[float] | None = None) -> DistanceSpec:
-    return DistanceSpec(
-        GOWER,
-        categorical_mask=np.asarray(categorical_mask, dtype=bool),
-        numeric_ranges=None if numeric_ranges is None else np.asarray(numeric_ranges, float),
-    )
+def gower_spec(categorical_mask: np.ndarray | Sequence[bool]) -> DistanceSpec:
+    return DistanceSpec(GOWER, categorical_mask=np.asarray(categorical_mask, dtype=bool))
 
 
-def bin_centers(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_bins: int) -> np.ndarray:
-    """Snap each value to the center of its equal-width bin over [lo, hi].
+def bin_centers(points: np.ndarray, n_bins: int) -> np.ndarray:
+    """Snap each value to the center of its equal-width bin over [lo, hi],
+    the column's min and max over ``points``.
 
     Values at the upper edge fall into the last bin; zero-width dimensions
     collapse to their single value.
     """
     points = np.asarray(points, dtype=float)
+    lo, hi = points.min(axis=0), points.max(axis=0)
     width = (hi - lo) / n_bins
     safe = np.where(width > 0, width, 1.0)
     idx = np.clip(np.floor((points - lo) / safe), 0, n_bins - 1)
@@ -186,18 +159,20 @@ class _EuclideanHandler:
 class _GowerHandler:
     """Mean per-dimension dissimilarity over included dimensions.
 
-    Numeric dimensions contribute |x - y| / range and are dropped when the
-    range is zero; categorical and boolean dimensions contribute a 0/1
-    mismatch. Values land in [0, 1].
+    Numeric dimensions contribute |x - y| / range, with the range (max - min)
+    taken over the handler's points, and are dropped when it is zero;
+    categorical and boolean dimensions contribute a 0/1 mismatch. Values land
+    in [0, 1].
     """
 
-    def __init__(self, points: np.ndarray, mask: np.ndarray, ranges: np.ndarray) -> None:
+    def __init__(self, points: np.ndarray, mask: np.ndarray) -> None:
         self.points = np.asarray(points, dtype=float)
         self.cat_cols = np.nonzero(mask)[0]
         num = np.nonzero(~mask)[0]
-        keep = ranges[num] > 0
+        ranges = self.points[:, num].max(axis=0) - self.points[:, num].min(axis=0)
+        keep = ranges > 0
         self.num_cols = num[keep]
-        self.num_ranges = ranges[num][keep]
+        self.num_ranges = ranges[keep]
         self.denom = max(len(self.cat_cols) + len(self.num_cols), 1)
 
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -268,26 +243,26 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
 
 def _handler(points: np.ndarray, spec: DistanceSpec):
     if spec.kind == GOWER:
-        mask = spec._mask(points.shape[1])
-        ranges = spec.numeric_ranges
-        if ranges is None:
-            raise ValueError("gower handler needs numeric ranges")
-        return _GowerHandler(points, mask, np.asarray(ranges, dtype=float))
+        width = points.shape[1]
+        mask = (np.zeros(width, dtype=bool) if spec.categorical_mask is None
+                else np.asarray(spec.categorical_mask, dtype=bool))
+        if mask.shape != (width,):
+            raise ValueError(f"categorical mask has shape {mask.shape}, need ({width},)")
+        return _GowerHandler(points, mask)
     return _EuclideanHandler(points)
 
 
 def cross_distances(x: np.ndarray, y: np.ndarray, spec: DistanceSpec | None = None) -> np.ndarray:
     """True distance matrix between two row sets under ``spec``.
 
-    Missing batch statistics are derived from the stacked rows of both sets.
+    Bin edges and Gower ranges come from the stacked rows of both sets.
     """
     spec = spec or euclidean_spec()
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     stacked = np.vstack([x, y])
-    spec = spec.for_batch(stacked)
     if spec.kind == BINNED:
-        stacked = bin_centers(stacked, spec.bin_lo, spec.bin_hi, spec.n_bins)
+        stacked = bin_centers(stacked, spec.n_bins)
     handler = _handler(stacked, spec)
     rows = np.arange(len(x))
     cols = np.arange(len(x), len(stacked))
@@ -376,12 +351,12 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     ``max_iter`` rounds; the recorded cost history (weighted sum of true
     member-to-medoid distances) is non-increasing.
 
-    For the binned kind, points sharing a bin-center representative are
-    collapsed into one weighted point first; distances and costs are then
-    measured between representatives. If fewer distinct representatives than
-    k exist, the uncollapsed representative-valued points are clustered
-    instead. The k == n and k == 1 paths are deterministic and draw nothing
-    from the RNG.
+    For the binned kind, bin edges come from ``points``, and points sharing a
+    bin-center representative are collapsed into one weighted point first;
+    distances and costs are then measured between representatives. If fewer
+    distinct representatives than k exist, the uncollapsed
+    representative-valued points are clustered instead. The k == n and
+    k == 1 paths are deterministic and draw nothing from the RNG.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -389,6 +364,8 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if weights is None:
         weights = np.ones(n)
     else:
@@ -401,42 +378,27 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
                 or init_medoids.min() < 0 or init_medoids.max() >= n):
             raise ValueError("init_medoids must be k distinct indices into points")
 
-    spec = (spec or euclidean_spec()).for_batch(points)
+    spec = spec or euclidean_spec()
 
-    # binned kind: collapse duplicate representatives into weighted points
-    inverse = None
+    # binned kind: collapse duplicate representatives into weighted points,
+    # each standing for its first member
+    work, work_weights, work_init, firsts = points, weights, init_medoids, None
     if spec.kind == BINNED:
-        centers = bin_centers(points, spec.bin_lo, spec.bin_hi, spec.n_bins)
-        uniq, inv = np.unique(centers, axis=0, return_inverse=True)
+        work = bin_centers(points, spec.n_bins)
+        uniq, first, inverse = np.unique(work, axis=0, return_index=True, return_inverse=True)
         if len(uniq) >= k:
-            work = uniq
-            inverse = inv
-            work_weights = np.bincount(inv, weights=weights)
+            work, firsts = uniq, first
+            work_weights = np.bincount(inverse, weights=weights)
             if init_medoids is not None:
-                work_init = inv[init_medoids]
+                work_init = inverse[init_medoids]
                 if len(np.unique(work_init)) != k:
                     raise ValueError("init_medoids collapse to duplicate representatives")
-            else:
-                work_init = None
-        else:
-            work, work_weights, work_init = centers, weights, init_medoids
-    else:
-        work, work_weights, work_init = points, weights, init_medoids
 
     part = _k_medoids_work(work, k, spec, seed, max_iter, work_init, work_weights)
-
-    if inverse is None:
+    if firsts is None:
         return part
-    # map the representative-space partition back to original point indices
-    firsts = np.full(len(work), n, dtype=np.int64)
-    np.minimum.at(firsts, inverse, np.arange(n, dtype=np.int64))
-    return Partition(
-        n_points=n,
-        k=k,
-        assignment=part.assignment[inverse],
-        medoids=firsts[part.medoids],
-        cost_history=part.cost_history,
-    )
+    return Partition(n_points=n, k=k, assignment=part.assignment[inverse],
+                     medoids=firsts[part.medoids], cost_history=part.cost_history)
 
 
 def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
@@ -566,25 +528,21 @@ def mean_medoid_gap(n: int, d: int, samples: int = 1000, seed: int = 0) -> float
     """Monte Carlo mean distance between sample mean and medoid.
 
     Each sample draws n uniform points in the unit d-cube, finds the medoid
-    (minimum summed Euclidean distance, ties to the lowest index) and
-    measures its distance to the sample mean.
+    with k-medoids' own Euclidean medoid update (minimum summed distance;
+    of members whose sums tie in floating point, the lowest index) and
+    measures its distance to the sample mean. Draws come in chunks of
+    ``_BATCH_LIMIT // (n * d)`` samples, one at least, each sample one
+    cluster of the chunk.
     """
     if n < 1 or d < 1 or samples < 1:
         raise ValueError("n, d and samples must be positive")
     rng = np.random.default_rng(seed)
-    chunk = max(1, int(2e7 / (n * n)))
-    total = 0.0
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        x = rng.random((b, n, d))
-        norms = np.einsum("bnd,bnd->bn", x, x)
-        sq = norms[:, :, None] + norms[:, None, :] - 2.0 * (x @ x.transpose(0, 2, 1))
-        np.maximum(sq, 0.0, out=sq)
-        sums = np.sqrt(sq).sum(axis=2)
-        med = np.argmin(sums, axis=1)
-        centers = x.mean(axis=1)
-        gaps = np.linalg.norm(centers - x[np.arange(b), med], axis=1)
-        total += float(gaps.sum())
-        done += b
-    return total / samples
+    chunk = max(1, _BATCH_LIMIT // (n * d))
+    gaps = np.empty(samples)
+    for start in range(0, samples, chunk):
+        x = rng.random((min(chunk, samples - start), n, d))
+        b, flat = len(x), x.reshape(-1, d)
+        med = _medoid_update(_EuclideanHandler(flat), np.repeat(np.arange(b), n), b,
+                             np.ones(b * n))
+        gaps[start:start + b] = np.linalg.norm(x.mean(axis=1) - flat[med], axis=1)
+    return float(gaps.sum()) / samples

@@ -140,14 +140,13 @@ class InvoiceEncoding:
     """Two aligned views of the same invoice batch.
 
     ``mixed`` holds label frequencies plus raw category codes / boolean flags
-    (for Gower distances, with ``categorical_mask`` marking the non-numeric
-    columns); ``onehot`` expands the same attributes into indicator columns
-    (for averaging into proxies).
+    (for Gower distances, which treat the attribute columns as categorical);
+    ``onehot`` expands the same attributes into indicator columns (for
+    averaging into proxies).
     """
 
     mixed: np.ndarray
     onehot: np.ndarray
-    categorical_mask: np.ndarray
 
 
 def one_hot_width(store: EventStore) -> int:
@@ -194,7 +193,6 @@ def invoice_encoding(store: EventStore, entity_codes: np.ndarray,
     schema = store.entity_schema
     mixed = np.zeros((m, n_labels + len(schema)))
     mixed[:, :n_labels] = freqs
-    cat_mask = np.zeros(n_labels + len(schema), dtype=bool)
 
     onehot = np.zeros((m, one_hot_width(store)))
     onehot[:, :n_labels] = freqs
@@ -202,11 +200,10 @@ def invoice_encoding(store: EventStore, entity_codes: np.ndarray,
     for j, f in enumerate(schema):
         col = store.entity_attribute(f.name)[entity_codes]
         mixed[:, n_labels + j] = col
-        cat_mask[n_labels + j] = True
         if f.kind == CATEGORICAL:
             onehot[np.arange(m), offset + col.astype(np.int64)] = 1.0
             offset += len(f.categories)
         else:
             onehot[:, offset] = col
             offset += 1
-    return InvoiceEncoding(mixed=mixed, onehot=onehot, categorical_mask=cat_mask)
+    return InvoiceEncoding(mixed=mixed, onehot=onehot)

@@ -67,7 +67,6 @@ class StepResult:
     pred_codes: np.ndarray | None = None
     pred_partition: Partition | None = None
     pred_cluster_ids: np.ndarray | None = None
-    proxy_predictions: np.ndarray | None = None
     predictions: np.ndarray | None = None
     details: dict = field(default_factory=dict)
 
@@ -295,7 +294,7 @@ def run_stream(store, usecase, rho: int | str, *,
                 logger.info("step %s: prediction skipped, model is cold", t)
             else:
                 if bypass_clustering:
-                    predictions = res.proxy_predictions = regressor.predict(pmodel_x)
+                    predictions = regressor.predict(pmodel_x)
                     clusters = res.pred_cluster_ids = np.arange(len(pred_codes))
                     sizes = np.ones(len(pred_codes), dtype=np.int64)
                 else:
@@ -305,7 +304,6 @@ def run_stream(store, usecase, rho: int | str, *,
                     predictions = proxy_pred[pos]
                     clusters = ppart.assignment
                     sizes = counts[pos].astype(np.int64)
-                    res.proxy_predictions = proxy_pred
                     res.pred_cluster_ids = cluster_ids
                     if details:
                         res.details.update(pred_model_x=pmodel_x, pred_cluster_x=pcluster_x,

@@ -54,6 +54,12 @@ def _reject_unknown(data: dict, cls: type, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Raise unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def model_spec_from_dict(data: dict) -> ModelSpec:
     _reject_unknown(data, ModelSpec, "model")
     return ModelSpec(**data)
@@ -87,14 +93,18 @@ class RunConfig:
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
         if self.distance not in (EUCLIDEAN, BINNED):
             raise ValueError(f"unknown distance {self.distance!r}")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        _check_int("n_bins", self.n_bins, 1)
+        _check_int("max_iter", self.max_iter, 1)
+        _check_int("seed", self.seed, 0)
         if self.time_format not in TIME_FORMATS:
             raise ValueError(f"unknown time format {self.time_format!r}")
-        if self.use_case == SUPERMARKET and (self.tau is None or self.tau < 2):
-            raise ValueError("supermarket runs need tau >= 2")
+        if self.use_case == SUPERMARKET:
+            _check_int("tau", self.tau, 2)
         if (self.t_start is None) != (self.t_end is None):
             raise ValueError("t_start and t_end must be given together")
+        if self.t_start is not None:
+            _check_int("t_start", self.t_start, 0)
+            _check_int("t_end", self.t_end, self.t_start + 1)
         if self.events is None and self.generator is None:
             raise ValueError("config needs an events path or a generator block")
         if self.events is not None and self.generator is not None:

@@ -320,7 +320,7 @@ def _medoid_enumeration_gap(rng: np.random.Generator) -> float:
         n_points = int(rng.integers(4, 9))
         k = int(rng.integers(2, 4))
         points = rng.normal(size=(n_points, 2))
-        dist = cross_distances(points, points, spec.for_batch(points))
+        dist = cross_distances(points, points, spec)
         optimum = min(
             dist[:, list(medoids)].min(axis=1).sum()
             for medoids in combinations(range(n_points), k)

@@ -54,47 +54,52 @@ def test_cluster_count_rejects_bad_arguments():
 
 # -- distances -------------------------------------------------------------
 
-def _pair(x, y, spec=None) -> float:
-    """The one entry of the 1 x 1 cross-distance matrix between x and y."""
-    return float(cross_distances(np.array(x, dtype=float), np.array(y, dtype=float),
-                                 spec)[0, 0])
-
-
 def test_euclidean_three_four_five():
-    assert _pair([0.0, 0.0], [3.0, 4.0]) == 5.0
+    assert cross_distances(np.array([0.0, 0.0]), np.array([3.0, 4.0]))[0, 0] == 5.0
 
 
 def test_gower_mixed_fixture():
+    # the row [12, 1] fixes the numeric range of the compared rows at 10
+    d = cross_distances(np.array([[2.0, 1.0]]),
+                        np.array([[7.0, 1.0], [7.0, 2.0], [12.0, 1.0]]),
+                        gower_spec([False, True]))[0]
     # numeric dimension: |2-7|/range 10 = 0.5; categorical match: 0 -> mean 0.25
-    spec = gower_spec([False, True], numeric_ranges=[10.0, 0.0])
-    assert _pair([2.0, 1.0], [7.0, 1.0], spec) == pytest.approx(0.25)
+    assert d[0] == pytest.approx(0.25)
     # categorical mismatch adds a full unit on that dimension
-    assert _pair([2.0, 1.0], [7.0, 2.0], spec) == pytest.approx(0.75)
+    assert d[1] == pytest.approx(0.75)
+    assert d[2] == pytest.approx(0.5)
 
 
 def test_gower_drops_zero_range_dimensions():
-    spec = gower_spec([False, False], numeric_ranges=[10.0, 0.0])
-    assert _pair([2.0, 5.0], [7.0, 5.0], spec) == pytest.approx(0.5)
+    # the second column is constant over the rows, so its range is zero and
+    # it leaves the mean: 0.5 over one dimension, not 0.25 over two
+    d = cross_distances(np.array([[2.0, 5.0]]), np.array([[7.0, 5.0], [12.0, 5.0]]),
+                        gower_spec([False, False]))[0]
+    assert d[0] == pytest.approx(0.5)
+    assert d[1] == pytest.approx(1.0)
 
 
 def test_gower_stays_in_unit_interval():
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.normal(size=30), rng.integers(0, 3, 30).astype(float)])
-    spec = gower_spec([False, True]).for_batch(pts)
+    spec = gower_spec([False, True])
     d = cross_distances(pts, pts, spec)
     assert (d >= 0).all() and (d <= 1.0 + 1e-12).all()
     assert np.allclose(np.diag(d), 0.0)
 
 
 def test_binned_same_bin_is_zero():
-    spec = DistanceSpec(BINNED, n_bins=20, bin_lo=np.zeros(2), bin_hi=np.full(2, 20.0))
-    assert _pair([0.2, 5.3], [0.7, 5.9], spec) == 0.0
-    assert _pair([0.2, 5.3], [0.7, 6.9], spec) > 0.0
+    # the rows [0, 0] and [20, 20] span the edges, so 20 bins are 1 wide
+    d = cross_distances(np.array([[0.2, 5.3]]),
+                        np.array([[0.7, 5.9], [0.7, 6.9], [0.0, 0.0], [20.0, 20.0]]),
+                        binned_spec(n_bins=20))[0]
+    assert d[0] == 0.0
+    assert d[1] > 0.0
 
 
 def test_bin_centers_edges_and_flat_dims():
-    lo, hi = np.array([0.0, 3.0]), np.array([1.0, 3.0])
-    centers = bin_centers(np.array([[0.0, 3.0], [1.0, 3.0], [0.49, 3.0]]), lo, hi, 10)
+    # the rows span [0, 1] in the first column; the second is flat at 3
+    centers = bin_centers(np.array([[0.0, 3.0], [1.0, 3.0], [0.49, 3.0]]), 10)
     assert np.allclose(centers[0], [0.05, 3.0])
     assert np.allclose(centers[1], [0.95, 3.0])  # top edge joins the last bin
     assert np.allclose(centers[2], [0.45, 3.0])
@@ -107,10 +112,9 @@ def test_binned_error_shrinks_as_bins_double():
     true = np.linalg.norm(x - y, axis=1)
     errs = []
     for n_bins in (5, 10, 20, 40, 80):
-        lo, hi = np.zeros(3), np.ones(3)
-        approx = np.linalg.norm(
-            bin_centers(x, lo, hi, n_bins) - bin_centers(y, lo, hi, n_bins), axis=1
-        )
+        # x and y binned on one set of edges, as cross_distances does
+        centers = bin_centers(np.vstack([x, y]), n_bins)
+        approx = np.linalg.norm(centers[:500] - centers[500:], axis=1)
         errs.append(np.abs(approx - true).mean())
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -240,6 +244,9 @@ def test_k_medoids_validates_arguments():
         k_medoids(pts, 2, init_medoids=[0, 9])
     with pytest.raises(ValueError):
         k_medoids(pts, 2, weights=np.array([1.0, -1.0, 1.0, 1.0]))
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError):
+            k_medoids(pts, 2, max_iter=max_iter)
 
 
 def test_binned_collapse_groups_identical_points():
@@ -285,7 +292,7 @@ def _direct_pairwise(points: np.ndarray, spec: DistanceSpec) -> np.ndarray:
     if spec.kind != GOWER:
         return np.sqrt((diff ** 2).sum(axis=2))
     mask = spec.categorical_mask
-    ranges = spec.numeric_ranges
+    ranges = points.max(axis=0) - points.min(axis=0)
     num = ~mask & (ranges > 0)
     total = (np.abs(diff[:, :, num]) / ranges[num]).sum(axis=2)
     total += (diff[:, :, mask] != 0).sum(axis=2)
@@ -315,7 +322,7 @@ def _medoid_case(kind: str, seed: int):
     if kind == "gower":
         pts = np.column_stack([rng.normal(size=n), rng.normal(size=n) * 50,
                                rng.integers(0, 3, n), rng.integers(0, 2, n)]).astype(float)
-        spec = gower_spec([False, False, True, True]).for_batch(pts)
+        spec = gower_spec([False, False, True, True])
     else:
         pts = rng.integers(0, 7, size=(n, 3)).astype(float)
         pts[:2] = [[0.0, 0.0, 0.0], [6.0, 6.0, 6.0]]
@@ -323,8 +330,8 @@ def _medoid_case(kind: str, seed: int):
     dup = rng.choice(n, size=15, replace=False)
     pts[dup[5:]] = pts[dup[:10]]
     if kind == "binned":
-        spec = binned_spec(n_bins=6).for_batch(pts)
-        pts = bin_centers(pts, spec.bin_lo, spec.bin_hi, spec.n_bins)
+        spec = binned_spec(n_bins=6)
+        pts = bin_centers(pts, spec.n_bins)
         weights = rng.integers(1, 4, n).astype(float)
     else:
         weights = np.ones(n)
@@ -348,7 +355,7 @@ def test_self_cross_distances_are_exactly_symmetric():
     pts = np.random.default_rng(8).normal(size=(400, 7)) * 1e3
     members = np.arange(400).reshape(50, 8)
     for handler in (clustering._EuclideanHandler(pts),
-                    clustering._handler(pts, gower_spec([False] * 6 + [True]).for_batch(pts))):
+                    clustering._handler(pts, gower_spec([False] * 6 + [True]))):
         d = handler.cross(members, members)
         assert d.shape == (50, 8, 8)
         assert np.array_equal(d, np.swapaxes(d, 1, 2))
@@ -596,7 +603,7 @@ def test_medoid_update_matches_each_clusters_own_product(kind, monkeypatch):
     pts = rng.normal(size=(n, 6))
     if kind == "gower":
         pts[:, 4:] = rng.integers(0, 3, size=(n, 2))
-        spec = gower_spec([False] * 4 + [True] * 2).for_batch(pts)
+        spec = gower_spec([False] * 4 + [True] * 2)
     else:
         spec = euclidean_spec()
     assignment = rng.permutation(np.repeat(np.arange(k), sizes))
@@ -749,6 +756,42 @@ def test_gap_shrinks_with_sample_size():
     assert mean_medoid_gap(100, 2, samples=300, seed=1) < mean_medoid_gap(
         5, 2, samples=300, seed=1
     )
+
+
+def _mean_medoid_gap_reference(n: int, d: int, samples: int, seed: int) -> float:
+    """The whole-Gram medoid search ``mean_medoid_gap`` used before it ran on
+    k-medoids' medoid update: its own Gram expansion, a ``np.sum`` over each
+    distance row and chunks of ``2e7 / n^2`` samples."""
+    rng = np.random.default_rng(seed)
+    chunk = max(1, int(2e7 / (n * n)))
+    total = 0.0
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        x = rng.random((b, n, d))
+        norms = np.einsum("bnd,bnd->bn", x, x)
+        sq = norms[:, :, None] + norms[:, None, :] - 2.0 * (x @ x.transpose(0, 2, 1))
+        np.maximum(sq, 0.0, out=sq)
+        sums = np.sqrt(sq).sum(axis=2)
+        med = np.argmin(sums, axis=1)
+        centers = x.mean(axis=1)
+        gaps = np.linalg.norm(centers - x[np.arange(b), med], axis=1)
+        total += float(gaps.sum())
+        done += b
+    return total / samples
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+@pytest.mark.parametrize("n", [2, 5, 20, 100])
+def test_gap_matches_the_whole_gram_reference(n, d):
+    assert mean_medoid_gap(n, d, samples=30, seed=3) == _mean_medoid_gap_reference(n, d, 30, 3)
+
+
+def test_gap_in_several_draw_chunks_matches_the_reference(monkeypatch):
+    # 1000 // (20 * 10) = 5 samples per draw chunk, so 23 samples take five
+    # chunks; each 20 x 20 cluster still fits one whole block
+    monkeypatch.setattr(clustering, "_BATCH_LIMIT", 1000)
+    assert mean_medoid_gap(20, 10, samples=23, seed=4) == _mean_medoid_gap_reference(20, 10, 23, 4)
 
 
 def test_gap_is_deterministic_and_validated():

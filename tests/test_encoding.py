@@ -25,6 +25,7 @@ from proxystream.synthetic import (
     generate_invoice_stream,
     invoice_entity_schema,
 )
+from proxystream.usecases import PaintFactoryContext
 
 ALPHABET = ("bakery", "dairy", "produce")
 
@@ -244,8 +245,11 @@ def test_invoice_encoding_shapes_and_frequencies():
     n_labels = len(store.alphabet)
     assert enc.mixed.shape == (60, n_labels + 8)
     assert enc.onehot.shape == (60, 49)
-    assert not enc.categorical_mask[:n_labels].any()
-    assert enc.categorical_mask[n_labels:].all()
+    # the Gower mask of the paint context marks exactly the attribute columns
+    mask = PaintFactoryContext(store).distance_template().categorical_mask
+    assert mask.shape == (enc.mixed.shape[1],)
+    assert not mask[:n_labels].any()
+    assert mask[n_labels:].all()
     sums = enc.mixed[:, :n_labels].sum(axis=1)
     assert np.allclose(sums[sums > 0], 1.0)
     assert np.array_equal(enc.mixed[:, :n_labels], enc.onehot[:, :n_labels])
@@ -284,10 +288,13 @@ def test_zero_prefix_entity_encodes_to_zero_frequencies():
 
 def test_encode_invoice_single_entity():
     store = _invoice_store()
-    enc = invoice_encoding(store, np.array([store.entity_code(store.entity_ids[0])]))
+    code = store.entity_code(store.entity_ids[0])
+    enc = invoice_encoding(store, np.array([code]))
     n_labels = len(store.alphabet)
     freqs, attrs = enc.mixed[0, :n_labels], enc.mixed[0, n_labels:]
     assert freqs.shape == (n_labels,)
     assert freqs.sum() == pytest.approx(1.0)
     assert attrs.shape == (len(store.entity_schema),)
-    assert enc.categorical_mask[n_labels:].all()
+    # attribute columns hold the raw category codes and flags
+    assert np.array_equal(attrs, [store.entity_attribute(f.name)[code]
+                                  for f in store.entity_schema])

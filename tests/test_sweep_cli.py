@@ -103,9 +103,23 @@ def test_run_config_validation() -> None:
         {"generator": tiny_generator(), "bypass_clustering": True},
         {"generator": tiny_generator(), "tau": None},
         {"generator": tiny_generator(), "tau": 1},
+        {"generator": tiny_generator(), "tau": 2.5},
         {"generator": tiny_generator(), "use_case": "bakery"},
         {"generator": tiny_generator(), "partitioner": "spectral"},
         {"generator": tiny_generator(), "t_start": 4},
+        {"generator": tiny_generator(), "t_start": -2, "t_end": 6},
+        {"generator": tiny_generator(), "t_start": 9, "t_end": 4},
+        {"generator": tiny_generator(), "t_start": 4, "t_end": 4},
+        {"generator": tiny_generator(), "t_start": 4.0, "t_end": 8},
+        {"generator": tiny_generator(), "t_start": True, "t_end": 8},
+        {"generator": tiny_generator(), "max_iter": 0},
+        {"generator": tiny_generator(), "max_iter": -3},
+        {"generator": tiny_generator(), "max_iter": 2.5},
+        {"generator": tiny_generator(), "max_iter": True},
+        {"generator": tiny_generator(), "seed": -1},
+        {"generator": tiny_generator(), "seed": True},
+        {"generator": tiny_generator(), "seed": 1.0},
+        {"generator": tiny_generator(), "distance": "binned_euclidean", "n_bins": True},
         {"generator": tiny_generator(), "events": "x.csv"},
         {},
         {"generator": tiny_generator(), "model": {"kind": "rls_linear", "depth": 3}},
