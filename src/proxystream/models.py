@@ -22,6 +22,19 @@ class ColdStartError(RuntimeError):
     """predict() was called before the model saw a single update."""
 
 
+def check_int(name: str, value, least: int) -> None:
+    """Raise unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise unless ``value`` is a finite real number (not a bool) above 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0 < value < np.inf):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which regressor to build and its hyperparameters. The input width is
@@ -36,15 +49,10 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in (RLS_LINEAR, SGD_MLP):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.ridge <= 0:
-            raise ValueError("ridge must be positive")
-        if self.kind == SGD_MLP:
-            if self.hidden < 1:
-                raise ValueError("hidden width must be >= 1")
-            if self.learning_rate <= 0:
-                raise ValueError("learning rate must be positive")
-            if self.epochs < 1:
-                raise ValueError("epochs must be >= 1")
+        _check_positive("ridge", self.ridge)
+        _check_positive("learning_rate", self.learning_rate)
+        check_int("hidden", self.hidden, 1)
+        check_int("epochs", self.epochs, 1)
 
 
 def init_model(spec: ModelSpec, input_width: int, seed: SeedLike = 0):

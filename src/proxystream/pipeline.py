@@ -8,14 +8,15 @@ streams, the case's training step for invoice streams) and scored at the end.
 
 Determinism: every random draw comes from a purpose-tagged
 ``SeedSequence(seed, spawn_key=...)``, so clustering draws cannot perturb
-model draws, runs with identical inputs are identical, and the rho = 1 fast
-path (singleton clusters, no RNG) is bit-identical to bypassing clustering.
+model draws, and runs with identical inputs are identical. At rho = 1 each
+entity is its own cluster (no RNG), so every proxy is its entity's row and
+the loop is the per-entity path.
 """
 from __future__ import annotations
 
 import logging
 from itertools import chain
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -50,7 +51,7 @@ _PHASE_PREDICT = 1
 
 @dataclass
 class StepResult:
-    """Slim per-step record; feature matrices only under collect="details"."""
+    """Per-step record: batch sizes, partitions and the predictions."""
 
     step: int
     n_train: int = 0
@@ -62,13 +63,9 @@ class StepResult:
     reused_encoding: bool = False
     train_codes: np.ndarray | None = None
     train_partition: Partition | None = None
-    train_cluster_ids: np.ndarray | None = None
-    train_proxy_outcomes: np.ndarray | None = None
     pred_codes: np.ndarray | None = None
     pred_partition: Partition | None = None
-    pred_cluster_ids: np.ndarray | None = None
     predictions: np.ndarray | None = None
-    details: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -182,12 +179,6 @@ class RunResult:
     metrics: MetricReport
     config: dict
 
-    def step_for(self, t: int) -> StepResult:
-        for s in self.steps:
-            if s.step == t:
-                return s
-        raise KeyError(f"no step {t} in this run")
-
 
 def check_rho(rho) -> None:
     """Raise unless ``rho`` is a positive integer (not a bool) or "all"."""
@@ -201,21 +192,16 @@ def run_stream(store, usecase, rho: int | str, *,
                seed: int = 0,
                steps: Iterable[int] | None = None,
                partitioner: str = KMEDOIDS,
-               bypass_clustering: bool = False,
-               max_iter: int = 100,
-               collect: str = "slim") -> RunResult:
+               max_iter: int = 100) -> RunResult:
     """Run the prequential pipeline over ``steps``.
 
     ``rho`` is the target entities-per-cluster ratio; each batch of n
     entities is split into ceil(n / rho) clusters. The token "all" puts the
-    whole batch into one cluster. ``bypass_clustering`` trains and predicts
-    on raw entities instead of proxies (the rho = 1 reference path).
+    whole batch into one cluster.
     """
     check_rho(rho)
     if partitioner not in (KMEDOIDS, RANDOM):
         raise ValueError(f"unknown partitioner {partitioner!r}")
-    if collect not in ("slim", "details"):
-        raise ValueError(f"unknown collect mode {collect!r}")
 
     ctx = usecase.prepare(store)
     if steps is None:
@@ -238,7 +224,6 @@ def run_stream(store, usecase, rho: int | str, *,
         return k_medoids(cluster_x, k, ctx.distance_template(), seed=cluster_seed,
                          max_iter=max_iter)
 
-    details = collect == "details"
     ledger = EvaluationLedger()
     results: list[StepResult] = []
     entity_ids = store.entity_ids
@@ -250,70 +235,43 @@ def run_stream(store, usecase, rho: int | str, *,
 
         # -- training phase
         if t - 1 in cache:
-            codes, model_x, cluster_x, part = cache[t - 1]
+            codes, model_x, part = cache[t - 1]
             res.reused_encoding = True
         else:
             codes = ctx.select_training(t)
-            model_x = cluster_x = part = None
             if len(codes):
                 model_x, cluster_x = ctx.encode_batch(codes, t - 1)
-                if not bypass_clustering:
-                    part = partition_batch(cluster_x, _PHASE_TRAIN, t)
+                part = partition_batch(cluster_x, _PHASE_TRAIN, t)
         res.n_train = len(codes)
         res.train_codes = codes
         if len(codes):
-            outcomes = ctx.training_outcomes(codes, t)
-            res.k_train = len(codes) if part is None else part.k
-            if bypass_clustering:
-                regressor.update(model_x, outcomes)
-            else:
-                res.train_partition = part
-                cluster_ids, px, py, _ = proxy_matrices(part, model_x, outcomes)
-                res.train_cluster_ids = cluster_ids
-                res.train_proxy_outcomes = py
-                regressor.update(px, py)
-                if details:
-                    res.details.update(train_model_x=model_x, train_cluster_x=cluster_x,
-                                       train_proxy_x=px)
+            res.train_partition = part
+            res.k_train = part.k
+            _, px, py, _ = proxy_matrices(part, model_x, ctx.training_outcomes(codes, t))
+            regressor.update(px, py)
             res.trained = True
-            if details:
-                res.details["train_outcomes"] = outcomes
 
         # -- prediction phase
         pred_codes = ctx.select_prediction(t)
         res.n_pred = len(pred_codes)
-        pmodel_x = pcluster_x = ppart = None
+        pmodel_x = ppart = None
         if len(pred_codes):
             pmodel_x, pcluster_x = ctx.encode_batch(pred_codes, t)
-            if not bypass_clustering:
-                ppart = res.pred_partition = partition_batch(pcluster_x, _PHASE_PREDICT, t)
-            res.k_pred = len(pred_codes) if ppart is None else ppart.k
+            ppart = res.pred_partition = partition_batch(pcluster_x, _PHASE_PREDICT, t)
+            res.k_pred = ppart.k
             res.pred_codes = pred_codes
 
             if regressor.n_updates == 0:
                 logger.info("step %s: prediction skipped, model is cold", t)
             else:
-                if bypass_clustering:
-                    predictions = regressor.predict(pmodel_x)
-                    clusters = res.pred_cluster_ids = np.arange(len(pred_codes))
-                    sizes = np.ones(len(pred_codes), dtype=np.int64)
-                else:
-                    cluster_ids, px, _, counts = proxy_matrices(ppart, pmodel_x)
-                    proxy_pred = regressor.predict(px)
-                    pos = np.searchsorted(cluster_ids, ppart.assignment)
-                    predictions = proxy_pred[pos]
-                    clusters = ppart.assignment
-                    sizes = counts[pos].astype(np.int64)
-                    res.pred_cluster_ids = cluster_ids
-                    if details:
-                        res.details.update(pred_model_x=pmodel_x, pred_cluster_x=pcluster_x,
-                                           pred_proxy_x=px)
-                res.predictions = predictions
+                cluster_ids, px, _, counts = proxy_matrices(ppart, pmodel_x)
+                pos = np.searchsorted(cluster_ids, ppart.assignment)
+                predictions = res.predictions = regressor.predict(px)[pos]
                 res.predicted = True
                 previous = ctx.prev_outcomes(pred_codes, t)
                 ledger.add_predictions(
                     t, pred_codes, [entity_ids[c] for c in pred_codes],
-                    clusters, sizes, predictions, previous,
+                    ppart.assignment, counts[pos].astype(np.int64), predictions, previous,
                 )
 
         # -- resolution, after the step's predictions are ledgered so a
@@ -324,13 +282,13 @@ def run_stream(store, usecase, rho: int | str, *,
             ledger.resolve_entities(codes, lambda c: ctx.resolve_outcomes(c, t))
 
         if ctx.reuse_encodings:
-            cache = {t: (pred_codes, pmodel_x, pcluster_x, ppart)}
+            cache = {t: (pred_codes, pmodel_x, ppart)}
         results.append(res)
 
     report = compute_metrics(ledger)
     config = dict(use_case=ctx.name, rho=rho, seed=seed, partitioner=partitioner,
-                  bypass_clustering=bypass_clustering, model=spec, steps=step_list,
-                  n_entities=store.entity_count, unresolved=ledger.unresolved)
+                  model=spec, steps=step_list, n_entities=store.entity_count,
+                  unresolved=ledger.unresolved)
     logger.info("run complete: %d steps, %d predictions (%d unresolved)",
                 len(step_list), len(ledger.columns), ledger.unresolved)
     return RunResult(steps=results, ledger=ledger, metrics=report, config=config)

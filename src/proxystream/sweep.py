@@ -26,7 +26,7 @@ from .clustering import BINNED, EUCLIDEAN
 from .filtering import filter_invoice_cases, invoice_log_schema
 from .logio import TIME_FORMATS, read_event_log
 from .metrics import METRIC_NAMES, format_value
-from .models import ModelSpec
+from .models import ModelSpec, check_int
 from .pipeline import ALL_TOKEN, KMEDOIDS, RANDOM, RunResult, check_rho, run_stream
 from .synthetic import (
     archetype_invoice_spec,
@@ -48,16 +48,12 @@ SUMMARY_COLUMNS = ("run_id", "use_case", "rho", "tau", "seed", "metric", "value"
 
 
 def _reject_unknown(data: dict, cls: type, what: str) -> None:
-    """Raise on keys of ``data`` that are not fields of the dataclass ``cls``."""
+    """Raise unless ``data`` is a dict whose keys are fields of the dataclass ``cls``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r}")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-
-
-def _check_int(name: str, value, least: int) -> None:
-    """Raise unless ``value`` is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def model_spec_from_dict(data: dict) -> ModelSpec:
@@ -89,22 +85,24 @@ class RunConfig:
         if self.use_case not in (SUPERMARKET, PAINT_FACTORY):
             raise ValueError(f"unknown use case {self.use_case!r}")
         check_rho(self.rho)
+        if not isinstance(self.model, ModelSpec):
+            raise ValueError(f"model must be an object, got {self.model!r}")
         if self.partitioner not in (KMEDOIDS, RANDOM):
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
         if self.distance not in (EUCLIDEAN, BINNED):
             raise ValueError(f"unknown distance {self.distance!r}")
-        _check_int("n_bins", self.n_bins, 1)
-        _check_int("max_iter", self.max_iter, 1)
-        _check_int("seed", self.seed, 0)
+        check_int("n_bins", self.n_bins, 1)
+        check_int("max_iter", self.max_iter, 1)
+        check_int("seed", self.seed, 0)
         if self.time_format not in TIME_FORMATS:
             raise ValueError(f"unknown time format {self.time_format!r}")
         if self.use_case == SUPERMARKET:
-            _check_int("tau", self.tau, 2)
+            check_int("tau", self.tau, 2)
         if (self.t_start is None) != (self.t_end is None):
             raise ValueError("t_start and t_end must be given together")
         if self.t_start is not None:
-            _check_int("t_start", self.t_start, 0)
-            _check_int("t_end", self.t_end, self.t_start + 1)
+            check_int("t_start", self.t_start, 0)
+            check_int("t_end", self.t_end, self.t_start + 1)
         if self.events is None and self.generator is None:
             raise ValueError("config needs an events path or a generator block")
         if self.events is not None and self.generator is not None:
@@ -224,16 +222,24 @@ class SweepConfig:
     taus: tuple | None = None
     seeds: tuple = (0,)
 
+    def __post_init__(self) -> None:
+        if self.taus is not None and self.base.use_case == PAINT_FACTORY:
+            raise ValueError("taus apply to supermarket sweeps only")
+
+
+def _list_value(data: dict, key: str, default: list) -> tuple:
+    value = data.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
+
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     _reject_unknown(data, SweepConfig, "sweep config")
     base = run_config_from_dict(data.get("base", {}))
-    rhos = tuple(data.get("rhos", [base.rho]))
-    taus = data.get("taus")
-    seeds = tuple(data.get("seeds", [base.seed]))
-    return SweepConfig(base=base, rhos=rhos,
-                       taus=None if taus is None else tuple(taus),
-                       seeds=seeds)
+    return SweepConfig(base=base, rhos=_list_value(data, "rhos", [base.rho]),
+                       taus=None if data.get("taus") is None else _list_value(data, "taus", []),
+                       seeds=_list_value(data, "seeds", [base.seed]))
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:

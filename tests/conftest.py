@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from proxystream.events import EventStore
+from proxystream.models import ModelSpec, init_model
 
 
 @dataclass(frozen=True)
@@ -38,3 +41,24 @@ def store_from_events(events, alphabet=None, *, event_schema=(), entity_schema=(
                       for f in entity_schema},
         time_origin=time_origin,
     )
+
+
+def per_entity_predictions(store, usecase, spec: ModelSpec, seed: int,
+                           steps: Iterable[int]) -> dict:
+    """The no-clustering reference: train and predict on raw entity rows.
+
+    Draws the model's seed as ``run_stream`` does, so at rho = 1 the two must
+    agree byte for byte. Maps each step with a warm model and a non-empty
+    prediction batch to its (prediction codes, predictions).
+    """
+    ctx = usecase.prepare(store)
+    model = init_model(spec, ctx.model_width, np.random.SeedSequence(seed, spawn_key=(1,)))
+    out = {}
+    for t in steps:
+        codes = ctx.select_training(t)
+        if len(codes):
+            model.update(ctx.encode_batch(codes, t - 1)[0], ctx.training_outcomes(codes, t))
+        pred_codes = ctx.select_prediction(t)
+        if len(pred_codes) and model.n_updates:
+            out[t] = pred_codes, model.predict(ctx.encode_batch(pred_codes, t)[0])
+    return out

@@ -18,6 +18,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import per_entity_predictions
+from proxystream import pipeline
 from proxystream.clustering import (
     BINNED,
     cross_distances,
@@ -96,18 +98,17 @@ def test_criterion_01_unit_capacity_equals_bypass() -> None:
     usecase = SupermarketUseCase(tau=3)
     steps = range(4, 24)  # 20 steps
     clustered = audited_run(store, usecase, 1, seed=0, steps=steps)
-    bypass = run_stream(store, usecase, 1, seed=0, steps=steps,
-                        bypass_clustering=True)
+    reference = per_entity_predictions(store, usecase, ModelSpec(), 0, steps)
+    assert [s.step for s in clustered.steps if s.predicted] == list(reference)
     n_predictions = 0
     identical = True
-    for left, right in zip(clustered.steps, bypass.steps):
-        assert left.step == right.step
-        assert left.predicted == right.predicted
-        if not left.predicted:
+    for step in clustered.steps:
+        if not step.predicted:
             continue
-        identical &= np.array_equal(left.pred_codes, right.pred_codes)
-        identical &= left.predictions.tobytes() == right.predictions.tobytes()
-        n_predictions += len(left.predictions)
+        codes, predictions = reference[step.step]
+        identical &= np.array_equal(step.pred_codes, codes)
+        identical &= step.predictions.tobytes() == predictions.tobytes()
+        n_predictions += len(step.predictions)
     elapsed = time.monotonic() - t_begin
     report(1, "rho=1 equals the no-clustering path", identical and elapsed < 60,
            f"{n_predictions} predictions bit-identical over 20 steps, {elapsed:.1f}s")
@@ -141,37 +142,31 @@ def _proxy_deviation(part, member_x, proxy_x, cluster_ids) -> float:
     return worst
 
 
-def test_criterion_03_proxies_are_member_means() -> None:
-    worst = 0.0
-    n_clusters = 0
+def test_criterion_03_proxies_are_member_means(monkeypatch) -> None:
+    calls = []
+
+    def recording_proxy_matrices(part, member_x, outcomes=None):
+        out = real_proxy_matrices(part, member_x, outcomes)
+        calls.append((part, member_x, outcomes, out))
+        return out
+
+    real_proxy_matrices = pipeline.proxy_matrices
+    monkeypatch.setattr(pipeline, "proxy_matrices", recording_proxy_matrices)
     shop = shopper_store(400, 14, seed=2)
     paint = invoice_store(300, 30.0, seed=3)
-    runs = [
-        audited_run(shop, SupermarketUseCase(tau=3), 8, seed=0, collect="details"),
-        audited_run(shop, SupermarketUseCase(tau=3, distance_kind=BINNED), 5,
-                    seed=1, collect="details"),
-        audited_run(shop, SupermarketUseCase(tau=3), 6, seed=2,
-                    partitioner="random", collect="details"),
-        audited_run(paint, PaintFactoryUseCase(), 10, seed=3, collect="details"),
-    ]
-    for result in runs:
-        for step in result.steps:
-            if "train_proxy_x" in step.details:
-                part = step.train_partition
-                worst = max(worst, _proxy_deviation(
-                    part, step.details["train_model_x"],
-                    step.details["train_proxy_x"], step.train_cluster_ids))
-                outcomes = step.details["train_outcomes"]
-                for row, cid in enumerate(step.train_cluster_ids):
-                    members = np.flatnonzero(part.assignment == cid)
-                    worst = max(worst, abs(float(
-                        step.train_proxy_outcomes[row] - outcomes[members].mean())))
-                n_clusters += len(step.train_cluster_ids)
-            if "pred_proxy_x" in step.details:
-                worst = max(worst, _proxy_deviation(
-                    step.pred_partition, step.details["pred_model_x"],
-                    step.details["pred_proxy_x"], step.pred_cluster_ids))
-                n_clusters += len(step.pred_cluster_ids)
+    audited_run(shop, SupermarketUseCase(tau=3), 8, seed=0)
+    audited_run(shop, SupermarketUseCase(tau=3, distance_kind=BINNED), 5, seed=1)
+    audited_run(shop, SupermarketUseCase(tau=3), 6, seed=2, partitioner="random")
+    audited_run(paint, PaintFactoryUseCase(), 10, seed=3)
+    worst = 0.0
+    n_clusters = 0
+    for part, member_x, outcomes, (cluster_ids, proxy_x, proxy_y, _) in calls:
+        worst = max(worst, _proxy_deviation(part, member_x, proxy_x, cluster_ids))
+        if outcomes is not None:
+            for row, cid in enumerate(cluster_ids):
+                members = np.flatnonzero(part.assignment == cid)
+                worst = max(worst, abs(float(proxy_y[row] - outcomes[members].mean())))
+        n_clusters += len(cluster_ids)
     report(3, "proxy features and outcomes equal member means", worst <= 1e-12,
            f"max deviation {worst:.2e} over {n_clusters} clusters (tolerance 1e-12)")
 

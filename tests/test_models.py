@@ -203,4 +203,6 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(kind="sgd_mlp", epochs=0)
     with pytest.raises(ValueError):
+        ModelSpec(ridge=float("nan"))
+    with pytest.raises(ValueError):
         init_model(ModelSpec(), 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_entity_predictions
 from proxystream.encoding import weekly_spend
 from proxystream import pipeline
 from proxystream.metrics import (
@@ -125,18 +126,28 @@ def test_invoice_default_steps_cover_last_receipt():
 
 # -- pipeline loop ---------------------------------------------------------
 
-def test_rho_one_matches_bypass_exactly():
-    store = _shopper_store(n=50, horizon=10, seed=4)
-    usecase = SupermarketUseCase(tau=3)
-    kw = dict(model=ModelSpec(), seed=9, steps=range(4, 10))
-    a = run_stream(store, usecase, 1, **kw)
-    b = run_stream(store, usecase, 1, bypass_clustering=True, **kw)
-    for sa, sb in zip(a.steps, b.steps):
-        assert sa.predicted == sb.predicted
-        if sa.predicted:
-            assert np.array_equal(sa.predictions, sb.predictions)
-    for name in (ENTITY_RMSE, CLUSTER_RMSE):
-        assert a.metrics.average(name) == b.metrics.average(name)
+@pytest.mark.parametrize("make_store, usecase, spec, steps", [
+    (lambda: _shopper_store(n=50, horizon=10, seed=4), SupermarketUseCase(tau=3),
+     ModelSpec(), range(4, 10)),
+    (lambda: _shopper_store(n=50, horizon=10, seed=4), SupermarketUseCase(tau=3),
+     ModelSpec(kind="sgd_mlp", hidden=5), range(4, 10)),
+    # Gower clustering distance, truths resolved by entity
+    (lambda: _invoice_store(n=200, horizon=30.0, seed=11)[0], PaintFactoryUseCase(),
+     ModelSpec(), None),
+], ids=["supermarket-rls", "supermarket-mlp", "paint-factory"])
+def test_rho_one_matches_bypass_exactly(make_store, usecase, spec, steps):
+    store = make_store()
+    if steps is None:
+        steps = usecase.default_steps(store)
+    run = run_stream(store, usecase, 1, model=spec, seed=9, steps=steps)
+    reference = per_entity_predictions(store, usecase, spec, 9, steps)
+    assert reference
+    assert [s.step for s in run.steps if s.predicted] == list(reference)
+    for step in run.steps:
+        if step.predicted:
+            codes, predictions = reference[step.step]
+            assert np.array_equal(step.pred_codes, codes)
+            assert step.predictions.tobytes() == predictions.tobytes()
 
 
 def test_rho_one_entity_metrics_equal_cluster_metrics():
@@ -302,8 +313,10 @@ def test_run_stream_validates_arguments():
         run_stream(store, usecase, True)
     with pytest.raises(ValueError):
         run_stream(store, usecase, 2, partitioner="spectral")
-    with pytest.raises(ValueError):
-        run_stream(store, usecase, 2, collect="everything")
+    with pytest.raises(TypeError):
+        run_stream(store, usecase, 1, bypass_clustering=True)
+    with pytest.raises(TypeError):
+        run_stream(store, usecase, 2, collect="details")
     with pytest.raises(ValueError):
         run_stream(store, usecase, 2, steps=[5, 5, 6])
     with pytest.raises(ValueError):
@@ -312,26 +325,10 @@ def test_run_stream_validates_arguments():
         run_stream(store, usecase, 2, steps=[-1, 2])
 
 
-def test_details_mode_collects_feature_matrices():
-    store = _shopper_store(n=30, horizon=9, seed=14)
-    run = run_stream(store, SupermarketUseCase(tau=3), 6, seed=0,
-                     steps=range(4, 8), collect="details")
-    warm = [s for s in run.steps if s.trained and s.predicted]
-    assert warm
-    res = warm[-1]
-    assert "train_proxy_x" in res.details
-    assert "pred_proxy_x" in res.details
-    assert res.details["train_proxy_x"].shape[1] == res.details["train_model_x"].shape[1]
-    slim = run_stream(store, SupermarketUseCase(tau=3), 6, seed=0, steps=range(4, 8))
-    assert all(not s.details for s in slim.steps)
-
-
 def test_run_result_lookup_and_config():
     store = _shopper_store(n=20, horizon=9)
     run = run_stream(store, SupermarketUseCase(tau=3), 2, seed=5, steps=range(4, 8))
-    assert run.step_for(5).step == 5
-    with pytest.raises(KeyError):
-        run.step_for(99)
+    assert [s.step for s in run.steps] == [4, 5, 6, 7]
     assert run.config["rho"] == 2
     assert run.config["seed"] == 5
     assert run.config["use_case"] == "supermarket"

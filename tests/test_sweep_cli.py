@@ -124,6 +124,14 @@ def test_run_config_validation() -> None:
         {},
         {"generator": tiny_generator(), "model": {"kind": "rls_linear", "depth": 3}},
         {"generator": tiny_generator(), "model": {"kind": "rls_linear", "input_width": 5}},
+        {"generator": tiny_generator(), "model": 3},
+        {"generator": tiny_generator(), "model": {"ridge": "x"}},
+        {"generator": tiny_generator(), "model": {"ridge": float("nan")}},
+        {"generator": tiny_generator(), "model": {"ridge": float("inf")}},
+        {"generator": tiny_generator(), "model": {"kind": "sgd_mlp", "learning_rate": "fast"}},
+        {"generator": tiny_generator(), "model": {"kind": "sgd_mlp", "epochs": 1.5}},
+        {"generator": tiny_generator(), "model": {"kind": "sgd_mlp", "epochs": True}},
+        {"generator": tiny_generator(), "model": {"hidden": 2.5}},
     ]
     for data in bad_configs:
         with pytest.raises(ValueError):
@@ -219,6 +227,24 @@ def test_sweep_config_from_dict_defaults_to_base_values() -> None:
     assert configs[0].rho == 4 and configs[0].seed == 9 and configs[0].tau == 2
     with pytest.raises(ValueError):
         sweep_config_from_dict({"base": {"generator": tiny_generator()}, "sigma": 1})
+
+
+@pytest.mark.parametrize("data", [
+    [],
+    {"base": 3},
+    {"base": {"generator": tiny_generator()}, "rhos": 8},
+    {"base": {"generator": tiny_generator()}, "rhos": None},
+    {"base": {"generator": tiny_generator()}, "seeds": 0},
+    {"base": {"generator": tiny_generator()}, "taus": 3},
+    # paint-factory runs have no tau, so each tau would repeat the same run
+    {"base": {"use_case": "paint_factory",
+              "generator": {"kind": "invoice", "n_entities": 30, "seed": 2}},
+     "taus": [2, 3]},
+], ids=["top-level-list", "base-int", "rhos-int", "rhos-null", "seeds-int", "taus-int",
+        "paint-taus"])
+def test_sweep_config_shape_validation(data) -> None:
+    with pytest.raises(ValueError):
+        sweep_config_from_dict(data)
 
 
 # -- generator blocks ------------------------------------------------------
