@@ -25,8 +25,10 @@ medoid, which is what a recompute over the same members would return. Block
 shapes depend on the cluster size s alone: while s * s fits
 ``_BATCH_LIMIT``, whole clusters are stacked as one symmetric product each
 (so every cluster of at most 512 members at the default limit gets the bits
-of its own ``cross(m, m)``); a larger cluster is summed alone in row blocks
-of ``_BATCH_LIMIT // s`` rows.
+of its own ``cross(m, m)``); a larger cluster is cut into slices of
+``_BATCH_LIMIT // s`` members and summed alone from the tiles on and above
+the diagonal of its s x s matrix, since d(i, j) == d(j, i): each member pair
+is computed once.
 
 Determinism contract: identical inputs and seed give identical partitions.
 Ties in assignment go to the lowest cluster index, ties in the medoid update
@@ -211,9 +213,9 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
     clusters are stacked as ``cross(members, members)``, up to the limit per
     block; one operand then serves both sides of each product, BLAS takes its
     symmetric path, and each cluster gets the sums of its own
-    ``cross(m, m) @ w``. A larger cluster is summed alone in row blocks of
-    ``_BATCH_LIMIT // s`` rows (one at least). Ties go to the lowest member
-    index.
+    ``cross(m, m) @ w``. A larger cluster is summed alone by
+    :func:`_tiled_sums` in slices of ``_BATCH_LIMIT // s`` members (one at
+    least), each pair of slices once. Ties go to the lowest member index.
     """
     sizes = np.bincount(assignment, minlength=k)
     if (sizes == 0).any():
@@ -233,12 +235,35 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
             group = clusters[first:first + per_block]
             members = order[starts[group][:, None] + np.arange(s)]
             w = weights[members][..., None]
-            blocks = [members] if step >= s else [
-                members[:, i:i + step] for i in range(0, s, step)]
-            sums = np.concatenate(
-                [(handler.cross(rows, members) @ w)[..., 0] for rows in blocks], axis=1)
+            if step >= s:
+                sums = (handler.cross(members, members) @ w)[..., 0]
+            else:
+                sums = _tiled_sums(handler, members, w, step)
             new[group] = members[np.arange(len(group)), np.argmin(sums, axis=1)]
     return new
+
+
+def _tiled_sums(handler, members: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
+    """Weighted distance sums of one cluster, ``members`` of shape (1, s),
+    from the tiles on and above the diagonal of its s x s matrix.
+
+    The members are cut into slices of ``step``. A diagonal tile is
+    ``cross(m_i, m_i)``, one operand for BLAS's symmetric path; an
+    off-diagonal tile ``cross(m_i, m_j)`` adds its row sums to slice i and
+    its column sums to slice j, as d(i, j) == d(j, i). Each member pair is
+    computed once.
+    """
+    s = members.shape[1]
+    sums = np.zeros((1, s))
+    for i in range(0, s, step):
+        rows = members[:, i:i + step]
+        for j in range(i, s, step):
+            cols = rows if j == i else members[:, j:j + step]
+            d = handler.cross(rows, cols)
+            sums[:, i:i + step] += (d @ w[:, j:j + step])[..., 0]
+            if j > i:
+                sums[:, j:j + step] += (np.swapaxes(d, -1, -2) @ w[:, i:i + step])[..., 0]
+    return sums
 
 
 def _handler(points: np.ndarray, spec: DistanceSpec):

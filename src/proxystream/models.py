@@ -133,14 +133,10 @@ class OnlineMLP:
     def __init__(self, input_width: int, hidden: int = 16,
                  learning_rate: float = 0.01, epochs: int = 1,
                  seed: SeedLike = 0) -> None:
-        if input_width < 1:
-            raise ValueError("input_width must be >= 1")
-        if hidden < 1:
-            raise ValueError("hidden width must be >= 1")
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_int("input_width", input_width, 1)
+        check_int("hidden", hidden, 1)
+        _check_positive("learning_rate", learning_rate)
+        check_int("epochs", epochs, 1)
         self.input_width = input_width
         self.hidden = hidden
         self.learning_rate = learning_rate

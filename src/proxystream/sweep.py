@@ -231,6 +231,8 @@ def _list_value(data: dict, key: str, default: list) -> tuple:
     value = data.get(key, default)
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list, got {value!r}")
+    if not value:  # an empty grid would write header-only outputs and succeed
+        raise ValueError(f"{key} must not be empty")
     return tuple(value)
 
 

@@ -591,6 +591,42 @@ def test_medoid_update_of_clean_clusters_computes_nothing(monkeypatch):
     assert np.array_equal(got, medoids)
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
+def test_tiled_medoid_update_matches_the_oracle(kind, monkeypatch):
+    # distance sums of these points are exact in any summation order, so the
+    # tiles must give the oracle's medoids, ties to the lowest index included
+    pts, spec = _exact_case(kind)
+    if kind == "binned":
+        pts = bin_centers(pts, spec.n_bins)
+    rng = np.random.default_rng(6)
+    sizes = [1, 2, 5, 13, 19, 40, 40]
+    k = len(sizes)
+    assignment = rng.permutation(np.repeat(np.arange(k), sizes))
+    weights = rng.integers(1, 4, len(pts)).astype(float)
+    handler = clustering._handler(pts, spec)
+    want = _oracle_medoids(pts, assignment, k, weights, spec)
+    limit = 100
+    monkeypatch.setattr(clustering, "_BATCH_LIMIT", limit)
+    assert np.array_equal(clustering._medoid_update(handler, assignment, k, weights), want)
+    blocks = []
+    _record_cross(monkeypatch, blocks)
+    for c in np.nonzero(np.square(sizes) > limit)[0]:
+        s, step = sizes[c], limit // sizes[c]
+        slices = [min(step, s - i) for i in range(0, s, step)]
+        blocks.clear()
+        dirty = np.zeros(k, dtype=bool)
+        dirty[c] = True
+        got = clustering._medoid_update(handler, assignment, k, weights, want, dirty)
+        assert got[c] == want[c]
+        elements = [int(np.prod(shape)) for shape, _ in blocks]
+        assert max(elements) <= max(limit, s)
+        # each member pair once: the tiles on and above the diagonal
+        assert sum(elements) <= s * (s + step) / 2
+        assert len(blocks) == len(slices) * (len(slices) + 1) // 2
+        assert (sorted(shape for shape, same in blocks if same)
+                == sorted((1, b, b) for b in slices))
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "gower"])
 def test_medoid_update_matches_each_clusters_own_product(kind, monkeypatch):
     # real-valued points, so the sums carry rounding that depends on the

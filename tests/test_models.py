@@ -172,6 +172,10 @@ def test_mlp_cold_start_and_validation():
     with pytest.raises(ValueError):
         OnlineMLP(0)
     with pytest.raises(ValueError):
+        OnlineMLP(3, hidden=2.5)
+    with pytest.raises(ValueError):
+        OnlineMLP(3, learning_rate=float("nan"))
+    with pytest.raises(ValueError):
         model.gradients(np.zeros(5), 0.0)
 
 

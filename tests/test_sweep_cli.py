@@ -236,12 +236,15 @@ def test_sweep_config_from_dict_defaults_to_base_values() -> None:
     {"base": {"generator": tiny_generator()}, "rhos": None},
     {"base": {"generator": tiny_generator()}, "seeds": 0},
     {"base": {"generator": tiny_generator()}, "taus": 3},
+    {"base": {"generator": tiny_generator()}, "rhos": []},
+    {"base": {"generator": tiny_generator()}, "seeds": []},
+    {"base": {"generator": tiny_generator()}, "taus": []},
     # paint-factory runs have no tau, so each tau would repeat the same run
     {"base": {"use_case": "paint_factory",
               "generator": {"kind": "invoice", "n_entities": 30, "seed": 2}},
      "taus": [2, 3]},
 ], ids=["top-level-list", "base-int", "rhos-int", "rhos-null", "seeds-int", "taus-int",
-        "paint-taus"])
+        "rhos-empty", "seeds-empty", "taus-empty", "paint-taus"])
 def test_sweep_config_shape_validation(data) -> None:
     with pytest.raises(ValueError):
         sweep_config_from_dict(data)
@@ -544,6 +547,19 @@ def test_cli_sweep_end_to_end(tmp_path: Path, capsys) -> None:
         assert (out / f"pivot_{metric}.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["kind"] == "sweep" and manifest["runs"] == 4
+
+
+@pytest.mark.parametrize("key", ["rhos", "seeds", "taus"])
+def test_cli_sweep_rejects_an_empty_list(tmp_path: Path, capsys, key) -> None:
+    cfg = write_json(tmp_path / "sweep.json", {
+        "base": {"use_case": "supermarket", "tau": 2, "t_start": 10, "t_end": 13,
+                 "generator": tiny_generator()},
+        key: [],
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{key} must not be empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_reports_total_failure(tmp_path: Path, capsys,
