@@ -21,14 +21,13 @@ over the whole row.
 
 The medoid update is incremental too. Only clusters that gained or lost a
 point in the latest assignment are recomputed; every other cluster keeps its
-medoid, which is what a recompute over the same members would return. Block
-shapes depend on the cluster size s alone: while s * s fits
-``_BATCH_LIMIT``, whole clusters are stacked as one symmetric product each
-(so every cluster of at most 512 members at the default limit gets the bits
-of its own ``cross(m, m)``); a larger cluster is cut into slices of
-``_BATCH_LIMIT // s`` members and summed alone from the tiles on and above
-the diagonal of its s x s matrix, since d(i, j) == d(j, i): each member pair
-is computed once.
+medoid, which is what a recompute over the same members would return. One
+kernel sums every cluster: its members are cut into slices of
+``_BATCH_LIMIT // s`` members, s the cluster size, and the tiles on and
+above the diagonal of its s x s matrix are summed, since d(i, j) == d(j, i):
+each member pair is computed once. A cluster of at most 512 members at the
+default limit is one diagonal tile, its own ``cross(m, m)``, and clusters of
+that size are stacked up to the limit per block.
 
 Determinism contract: identical inputs and seed give identical partitions.
 Ties in assignment go to the lowest cluster index, ties in the medoid update
@@ -42,6 +41,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .models import check_int
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +77,8 @@ class DistanceSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distance kind {self.kind!r}")
-        if self.kind == BINNED and self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        if self.kind == BINNED:
+            check_int("n_bins", self.n_bins, 1)
 
 
 def euclidean_spec() -> DistanceSpec:
@@ -209,13 +210,10 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
 
     Block shapes depend on the cluster size s alone, never on how many
     clusters share it, so a cluster's medoid is the same bits whichever
-    clusters are recomputed with it. When s * s fits ``_BATCH_LIMIT``, whole
-    clusters are stacked as ``cross(members, members)``, up to the limit per
-    block; one operand then serves both sides of each product, BLAS takes its
-    symmetric path, and each cluster gets the sums of its own
-    ``cross(m, m) @ w``. A larger cluster is summed alone by
-    :func:`_tiled_sums` in slices of ``_BATCH_LIMIT // s`` members (one at
-    least), each pair of slices once. Ties go to the lowest member index.
+    clusters are recomputed with it. Clusters of one size are summed by
+    :func:`_tiled_sums` in groups of ``_BATCH_LIMIT // (s * s)`` (one at
+    least), in slices of ``_BATCH_LIMIT // s`` members (one at least). Ties
+    go to the lowest member index.
     """
     sizes = np.bincount(assignment, minlength=k)
     if (sizes == 0).any():
@@ -234,27 +232,26 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
         for first in range(0, len(clusters), per_block):
             group = clusters[first:first + per_block]
             members = order[starts[group][:, None] + np.arange(s)]
-            w = weights[members][..., None]
-            if step >= s:
-                sums = (handler.cross(members, members) @ w)[..., 0]
-            else:
-                sums = _tiled_sums(handler, members, w, step)
+            sums = _tiled_sums(handler, members, weights[members][..., None], step)
             new[group] = members[np.arange(len(group)), np.argmin(sums, axis=1)]
     return new
 
 
 def _tiled_sums(handler, members: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
-    """Weighted distance sums of one cluster, ``members`` of shape (1, s),
-    from the tiles on and above the diagonal of its s x s matrix.
+    """Weighted distance sums of a group of equal-size clusters, ``members``
+    of shape (g, s), from the tiles on and above the diagonal of each
+    cluster's s x s matrix.
 
     The members are cut into slices of ``step``. A diagonal tile is
     ``cross(m_i, m_i)``, one operand for BLAS's symmetric path; an
     off-diagonal tile ``cross(m_i, m_j)`` adds its row sums to slice i and
     its column sums to slice j, as d(i, j) == d(j, i). Each member pair is
-    computed once.
+    computed once. When ``step >= s`` the one tile is ``cross(m, m) @ w``,
+    and adding it to zeros keeps its bits, as distance sums are never
+    negative.
     """
     s = members.shape[1]
-    sums = np.zeros((1, s))
+    sums = np.zeros(members.shape)
     for i in range(0, s, step):
         rows = members[:, i:i + step]
         for j in range(i, s, step):
@@ -344,7 +341,8 @@ def random_partition(n_points: int, k: int,
                      seed: int | np.random.SeedSequence | np.random.Generator = 0) -> Partition:
     """Uniform assignment with one anchor point per cluster, so no cluster
     is empty by construction. No medoids."""
-    if not 1 <= k <= n_points:
+    check_int("k", k, 1)
+    if k > n_points:
         raise ValueError(f"need 1 <= k <= n_points, got k={k}, n={n_points}")
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, k, n_points)
@@ -387,16 +385,16 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     if points.ndim != 2:
         raise ValueError("points must be a 2d array")
     n = len(points)
-    if not 1 <= k <= n:
+    check_int("k", k, 1)
+    if k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_int("max_iter", max_iter, 1)
     if weights is None:
         weights = np.ones(n)
     else:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,) or (weights < 0).any():
-            raise ValueError("weights must be n non-negative values")
+        if weights.shape != (n,) or not (np.isfinite(weights) & (weights >= 0)).all():
+            raise ValueError("weights must be n finite non-negative values")
     if init_medoids is not None:
         init_medoids = np.asarray(init_medoids, dtype=np.int64)
         if (init_medoids.shape != (k,) or len(np.unique(init_medoids)) != k

@@ -171,18 +171,15 @@ def prefix_label_counts(store: EventStore, creation_times: np.ndarray) -> np.nda
 
 
 def invoice_encoding(store: EventStore, entity_codes: np.ndarray,
-                     creation_times: np.ndarray | None = None,
                      prefix_counts: np.ndarray | None = None) -> InvoiceEncoding:
     """Encode a batch of invoice entities; see :class:`InvoiceEncoding`.
 
-    ``creation_times`` and ``prefix_counts`` are per-entity-code arrays over
-    the whole store; both are derived here when not supplied.
+    ``prefix_counts`` is a per-entity-code array over the whole store,
+    derived here from each entity's VCI time when not supplied.
     """
     entity_codes = np.asarray(entity_codes, dtype=np.int64)
     if prefix_counts is None:
-        if creation_times is None:
-            creation_times = label_times(store, VCI_LABEL)
-        prefix_counts = prefix_label_counts(store, creation_times)
+        prefix_counts = prefix_label_counts(store, label_times(store, VCI_LABEL))
     m = len(entity_codes)
     n_labels = len(store.alphabet)
 

@@ -88,8 +88,8 @@ class RecursiveLeastSquares:
     """
 
     def __init__(self, input_width: int, ridge: float = 1e-6) -> None:
-        if input_width < 1:
-            raise ValueError("input_width must be >= 1")
+        check_int("input_width", input_width, 1)
+        _check_positive("ridge", ridge)
         self.input_width = input_width
         self.ridge = ridge
         d = input_width + 1

@@ -248,17 +248,23 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
     return sweep_config_from_dict(json.loads(Path(path).read_text()))
 
 
+def _unique(name: str, values) -> list:
+    """``values`` in order, each repeat dropped with a warning."""
+    kept: list = []
+    for value in values:
+        if value in kept:
+            logger.warning("duplicate %s %r in grid, skipping", name, value)
+            continue
+        kept.append(value)
+    return kept
+
+
 def expand_grid(sweep: SweepConfig) -> list[RunConfig]:
     """Base config crossed with rho/tau/seed lists, duplicates dropped."""
-    rhos: list = []
-    for rho in sweep.rhos:
-        if rho in rhos:
-            logger.warning("duplicate rho %r in grid, skipping", rho)
-            continue
-        rhos.append(rho)
-    taus = [None] if sweep.taus is None else list(dict.fromkeys(sweep.taus))
+    rhos = _unique("rho", sweep.rhos)
+    taus = [None] if sweep.taus is None else _unique("tau", sweep.taus)
     configs = []
-    for seed in sweep.seeds:
+    for seed in _unique("seed", sweep.seeds):
         for tau in taus:
             for rho in rhos:
                 cfg = replace(sweep.base, rho=rho, seed=seed)

@@ -183,6 +183,13 @@ def noise_dominated_shopper_spec(n_entities: int = 400, horizon: int = 26,
     )
 
 
+def _draw_labels(cdf: np.ndarray, u: np.ndarray, n_labels: int) -> np.ndarray:
+    """Label of each draw: the count of its row of cumulative weights ``cdf``
+    at or below its uniform ``u`` (``searchsorted(row, u, side="right")``),
+    capped at the last of ``n_labels`` labels."""
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), n_labels - 1)
+
+
 def generate_shopper_stream(spec: ShopperStreamSpec) -> tuple[EventStore, ShopperTruth]:
     """Sample a weekly visit stream.
 
@@ -232,12 +239,7 @@ def generate_shopper_stream(spec: ShopperStreamSpec) -> tuple[EventStore, Shoppe
         arch_of_visit = arch[ent_of_visit]
         times = w + rng.random(total)
         # per-visit department label from the visit's archetype distribution
-        u = rng.random(total)
-        labels = np.empty(total, dtype=np.int64)
-        for a in range(n_arch):
-            mask = arch_of_visit == a
-            labels[mask] = np.searchsorted(cdf[a], u[mask], side="right")
-        labels = np.minimum(labels, len(SHOPPER_LABELS) - 1)
+        labels = _draw_labels(cdf[arch_of_visit], rng.random(total), len(SHOPPER_LABELS))
 
         value = np.repeat(spend / counts, counts)
         n_items = items[arch_of_visit]
@@ -452,13 +454,8 @@ def generate_invoice_stream(spec: InvoiceStreamSpec) -> tuple[EventStore, Invoic
     prefix_times = np.maximum(creation[ent_of_prefix] - lags, 0.0)
 
     prefix_cdf = np.cumsum(np.array([a.prefix_weights for a in spec.archetypes]), axis=1)
-    u = rng.random(total)
-    prefix_labels = np.empty(total, dtype=np.int64)
-    arch_of_prefix = arch[ent_of_prefix]
-    for a in range(n_arch):
-        mask = arch_of_prefix == a
-        prefix_labels[mask] = np.searchsorted(prefix_cdf[a], u[mask], side="right")
-    prefix_labels = np.minimum(prefix_labels, len(INVOICE_PREFIX_LABELS) - 1)
+    prefix_labels = _draw_labels(prefix_cdf[arch[ent_of_prefix]], rng.random(total),
+                                 len(INVOICE_PREFIX_LABELS))
 
     alphabet = tuple(sorted((*INVOICE_PREFIX_LABELS, VCI_LABEL, RIR_LABEL)))
     label_code = {a: i for i, a in enumerate(alphabet)}

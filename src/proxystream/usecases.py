@@ -45,6 +45,7 @@ from .encoding import (
 )
 from .events import EventStore
 from .filtering import RIR_LABEL, VCI_LABEL, label_times
+from .models import check_int
 
 RESOLVE_NEXT_STEP = "next_step"
 RESOLVE_TRAINING_MEMBERSHIP = "training_membership"
@@ -59,8 +60,7 @@ class SupermarketUseCase:
     n_bins: int = 20
 
     def __post_init__(self) -> None:
-        if self.tau < 2:
-            raise ValueError("tau must be >= 2 (a line needs two weeks)")
+        check_int("tau", self.tau, 2)  # a line needs two weeks
         if self.distance_kind not in (EUCLIDEAN, BINNED):
             raise ValueError(f"unsupported distance kind {self.distance_kind!r}")
 

@@ -124,8 +124,9 @@ def test_distance_validates_inputs():
         cross_distances(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         DistanceSpec("cosine")
-    with pytest.raises(ValueError):
-        DistanceSpec(BINNED, n_bins=0)
+    for n_bins in (0, 2.5):
+        with pytest.raises(ValueError):
+            DistanceSpec(BINNED, n_bins=n_bins)
     with pytest.raises(ValueError):
         cross_distances(np.zeros((1, 2)), np.zeros((1, 2)), gower_spec([False]))
 
@@ -232,19 +233,19 @@ def test_weights_pull_the_medoid():
 
 def test_k_medoids_validates_arguments():
     pts = np.zeros((4, 2))
-    with pytest.raises(ValueError):
-        k_medoids(pts, 0)
-    with pytest.raises(ValueError):
-        k_medoids(pts, 5)
+    for k in (0, 5, 2.5):
+        with pytest.raises(ValueError):
+            k_medoids(pts, k)
     with pytest.raises(ValueError):
         k_medoids(np.zeros(4), 2)
     with pytest.raises(ValueError):
         k_medoids(pts, 2, init_medoids=[0, 0])
     with pytest.raises(ValueError):
         k_medoids(pts, 2, init_medoids=[0, 9])
-    with pytest.raises(ValueError):
-        k_medoids(pts, 2, weights=np.array([1.0, -1.0, 1.0, 1.0]))
-    for max_iter in (0, -3):
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            k_medoids(pts, 2, weights=np.array([1.0, bad, 1.0, 1.0]))
+    for max_iter in (0, -3, 2.5):
         with pytest.raises(ValueError):
             k_medoids(pts, 2, max_iter=max_iter)
 
@@ -625,6 +626,27 @@ def test_tiled_medoid_update_matches_the_oracle(kind, monkeypatch):
         assert len(blocks) == len(slices) * (len(slices) + 1) // 2
         assert (sorted(shape for shape, same in blocks if same)
                 == sorted((1, b, b) for b in slices))
+    # a cluster with s * s <= limit is one diagonal tile, in groups of
+    # limit // (s * s) clusters of its size: the sums of its own cross(m, m) @ w
+    sizes = [2] * 10 + [4] * 10 + [5] * 12
+    k = len(sizes)
+    assignment = rng.permutation(np.repeat(np.arange(k), sizes))
+    want = _oracle_medoids(pts, assignment, k, weights, spec)
+    calls = []
+    tiled = clustering._tiled_sums
+
+    def record(h, members, w, step):
+        sums = tiled(h, members, w, step)
+        calls.append((members, w, sums))
+        return sums
+    monkeypatch.setattr(clustering, "_tiled_sums", record)
+    blocks.clear()
+    assert np.array_equal(clustering._medoid_update(handler, assignment, k, weights), want)
+    assert sorted(m.shape for m, _, _ in calls) == [(4, 4), (4, 5), (4, 5), (4, 5), (6, 4), (10, 2)]
+    assert len(blocks) == len(calls)
+    for (shape, same), (members, w, sums) in zip(blocks, calls):
+        assert same and shape == (*members.shape, members.shape[1])
+        assert np.array_equal(sums, (handler.cross(members, members) @ w)[..., 0])
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "gower"])
@@ -683,10 +705,9 @@ def test_random_partition_determinism_and_validation():
     a = random_partition(50, 7, seed=11)
     b = random_partition(50, 7, seed=11)
     assert np.array_equal(a.assignment, b.assignment)
-    with pytest.raises(ValueError):
-        random_partition(3, 4)
-    with pytest.raises(ValueError):
-        random_partition(3, 0)
+    for k in (4, 0, 2.5):
+        with pytest.raises(ValueError):
+            random_partition(3, k)
 
 
 # -- proxies ---------------------------------------------------------------

@@ -67,8 +67,12 @@ def test_rls_cold_start_and_validation():
         model.update(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError):
         model.update(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        RecursiveLeastSquares(0)
+    for width in (0, True, 2.5):
+        with pytest.raises(ValueError):
+            RecursiveLeastSquares(width)
+    for ridge in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError):
+            RecursiveLeastSquares(2, ridge=ridge)
 
 
 def test_rls_accepts_single_row_vectors():

@@ -90,8 +90,9 @@ def test_supermarket_default_steps():
     store = _shopper_store(n=20, horizon=10)
     usecase = SupermarketUseCase(tau=3)
     assert usecase.default_steps(store) == range(4, 11)
-    with pytest.raises(ValueError):
-        SupermarketUseCase(tau=1)
+    for tau in (1, 2.5, True):
+        with pytest.raises(ValueError):
+            SupermarketUseCase(tau=tau)
 
 
 # -- paint factory selection -----------------------------------------------

@@ -211,9 +211,21 @@ def test_duplicate_rho_dedup_warns(caplog: pytest.LogCaptureFixture) -> None:
     assert any("duplicate rho" in rec.message for rec in caplog.records)
 
 
-def test_duplicate_taus_collapse() -> None:
+def test_duplicate_taus_collapse(caplog: pytest.LogCaptureFixture) -> None:
     sweep = SweepConfig(base=base_config(), rhos=(1,), taus=(3, 3, 2), seeds=(0,))
-    assert [c.tau for c in expand_grid(sweep)] == [3, 2]
+    with caplog.at_level(logging.WARNING, logger="proxystream.sweep"):
+        assert [c.tau for c in expand_grid(sweep)] == [3, 2]
+    assert any("duplicate tau" in rec.message for rec in caplog.records)
+
+
+def test_duplicate_seeds_run_once(tmp_path: Path, caplog: pytest.LogCaptureFixture) -> None:
+    sweep = SweepConfig(base=base_config(), rhos=(1,), seeds=(0, 0))
+    with caplog.at_level(logging.WARNING, logger="proxystream.sweep"):
+        outputs = execute_sweep(sweep)
+    assert [o.config.seed for o in outputs] == [0]
+    assert any("duplicate seed" in rec.message for rec in caplog.records)
+    write_sweep_outputs(tmp_path, outputs, sweep)
+    assert len(read_rows(tmp_path / "runs.csv")) == 2  # header and one run
 
 
 def test_sweep_config_from_dict_defaults_to_base_values() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from proxystream import synthetic
 from proxystream.filtering import RIR_LABEL, VCI_LABEL, filter_invoice_cases
 from proxystream.synthetic import (
     SHOPPER_EVENT_SCHEMA,
@@ -33,6 +34,24 @@ def _small_shopper_spec(**kw) -> ShopperStreamSpec:
     )
     base.update(kw)
     return ShopperStreamSpec(**base)
+
+
+def test_label_draws_match_a_searchsorted_loop():
+    rng = np.random.default_rng(2)
+    cdf = np.cumsum(rng.dirichlet(np.ones(5), size=3), axis=1)
+    cdf[1, 1] = cdf[1, 0]  # a zero weight: two equal cdf entries
+    cdf[2, -1] = 0.97      # weights summing to less than 1
+    arch = rng.integers(0, 3, 500)
+    u = rng.random(500)
+    u[:6] = [cdf[0, 0], cdf[1, 0], cdf[2, 2], cdf[2, -1], 0.99, 0.0]
+    arch[:6] = [0, 1, 2, 2, 2, 1]
+    want = np.empty(500, dtype=np.int64)
+    for a in range(3):
+        want[arch == a] = np.searchsorted(cdf[a], u[arch == a], side="right")
+    want = np.minimum(want, 4)
+    got = synthetic._draw_labels(cdf[arch], u, 5)
+    assert np.array_equal(got, want)
+    assert list(got[:5]) == [1, 2, 3, 4, 4]
 
 
 # -- shopper streams -------------------------------------------------------
