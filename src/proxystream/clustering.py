@@ -557,8 +557,9 @@ def mean_medoid_gap(n: int, d: int, samples: int = 1000, seed: int = 0) -> float
     ``_BATCH_LIMIT // (n * d)`` samples, one at least, each sample one
     cluster of the chunk.
     """
-    if n < 1 or d < 1 or samples < 1:
-        raise ValueError("n, d and samples must be positive")
+    check_int("n", n, 1)
+    check_int("d", d, 1)
+    check_int("samples", samples, 1)
     rng = np.random.default_rng(seed)
     chunk = max(1, _BATCH_LIMIT // (n * d))
     gaps = np.empty(samples)

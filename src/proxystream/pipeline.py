@@ -15,7 +15,6 @@ the loop is the per-entity path.
 from __future__ import annotations
 
 import logging
-from itertools import chain
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -88,27 +87,26 @@ _ROW = np.dtype([("step", np.int64), ("code", np.int64), ("cluster", np.int64),
 class EvaluationLedger:
     """Pending and resolved predictions, one row each in numpy columns.
 
-    Each ``add_predictions`` call appends a block of rows. Open rows are
-    indexed by step and by entity code. An index entry is dropped once used,
-    so resolving visits each row at most once per index; a row resolved
-    through one index stays in the other, where its resolved flag skips it.
-    ``records`` and ``resolved_records()`` build :class:`PredictionRecord`
-    objects on demand.
+    Each ``add_predictions`` call appends a block of rows; ``_open`` holds
+    the rows still waiting for a truth, in the order they were added. Both
+    resolve methods pick their rows from ``_open`` and hand ``truth_fn`` the
+    picked rows' codes in that row order. ``entity_ids`` is the store's id
+    list, indexed by entity code. ``records`` and ``resolved_records()``
+    build :class:`PredictionRecord` objects on demand.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, entity_ids: list) -> None:
+        self._entity_ids = entity_ids
         self._rows = np.zeros(0, dtype=_ROW)
         self._n = 0
-        self._ids: list = []
-        self._open_by_step: dict[int, list[range]] = {}
-        self._open_by_code: dict[int, list[int]] = {}
+        self._open = np.zeros(0, dtype=np.int64)
 
     @property
     def columns(self) -> np.ndarray:
         """The filled rows: a structured array with the fields of ``_ROW``."""
         return self._rows[:self._n]
 
-    def add_predictions(self, step: int, codes: np.ndarray, ids: list,
+    def add_predictions(self, step: int, codes: np.ndarray,
                         clusters: np.ndarray, sizes: np.ndarray,
                         predicted: np.ndarray, previous: np.ndarray | None) -> None:
         start, self._n = self._n, self._n + len(codes)
@@ -121,52 +119,44 @@ class EvaluationLedger:
         block["size"], block["predicted"] = sizes, predicted
         if previous is not None:
             block["previous"], block["has_previous"] = previous, True
-        self._ids.extend(ids)
-        rows = range(start, self._n)
-        self._open_by_step.setdefault(step, []).append(rows)
-        for code, row in zip(block["code"].tolist(), rows):
-            self._open_by_code.setdefault(code, []).append(row)
+        self._open = np.concatenate([self._open, np.arange(start, self._n)])
 
-    def _close(self, rows: Iterable[int], truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
-        """Resolve the open ones of ``rows``; a bad truth shape raises first."""
-        rows = np.fromiter(rows, dtype=np.int64)
-        rows = rows[~self._rows["resolved"][rows]]
+    def _close(self, hit: np.ndarray, truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
+        """Resolve the open rows where ``hit`` is true, handing ``truth_fn``
+        their codes in row order; a bad truth shape raises before any state
+        changes."""
+        rows = self._open[hit]
         if len(rows):
             truth = np.asarray(truth_fn(self._rows["code"][rows]), dtype=float)
             if truth.shape != rows.shape:
                 raise ValueError(f"truth_fn gave shape {truth.shape} for {len(rows)} rows")
             self._rows["truth"][rows] = truth
             self._rows["resolved"][rows] = True
+            self._open = self._open[~hit]
         return len(rows)
 
     def resolve_step(self, step: int,
                      truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
         """Resolve all pending predictions made at ``step``."""
-        n = self._close(chain.from_iterable(self._open_by_step.get(step, ())), truth_fn)
-        self._open_by_step.pop(step, None)
-        return n
+        return self._close(self._rows["step"][self._open] == step, truth_fn)
 
     def resolve_entities(self, codes: np.ndarray,
                          truth_fn: Callable[[np.ndarray], np.ndarray]) -> int:
         """Resolve pending predictions for the given entity codes."""
-        asked = [c for c in dict.fromkeys(np.asarray(codes).tolist()) if c in self._open_by_code]
-        n = self._close(chain.from_iterable(self._open_by_code[c] for c in asked), truth_fn)
-        for c in asked:
-            del self._open_by_code[c]
-        return n
+        return self._close(np.isin(self._rows["code"][self._open], codes), truth_fn)
 
     @property
     def unresolved(self) -> int:
-        return self._n - int(np.count_nonzero(self.columns["resolved"]))
+        return len(self._open)
 
     @property
     def records(self) -> list[PredictionRecord]:
         cols = [self.columns[name].tolist() for name in _ROW.names]
-        return [PredictionRecord(step, code, entity_id, cluster, size, predicted,
+        return [PredictionRecord(step, code, self._entity_ids[code], cluster, size, predicted,
                                  previous if has_previous else None,
                                  truth if resolved else None)
-                for entity_id, step, code, cluster, size, predicted, previous, truth,
-                has_previous, resolved in zip(self._ids, *cols)]
+                for step, code, cluster, size, predicted, previous, truth,
+                has_previous, resolved in zip(*cols)]
 
     def resolved_records(self) -> list[PredictionRecord]:
         return [r for r in self.records if r.truth is not None]
@@ -224,9 +214,8 @@ def run_stream(store, usecase, rho: int | str, *,
         return k_medoids(cluster_x, k, ctx.distance_template(), seed=cluster_seed,
                          max_iter=max_iter)
 
-    ledger = EvaluationLedger()
+    ledger = EvaluationLedger(store.entity_ids)
     results: list[StepResult] = []
-    entity_ids = store.entity_ids
     # prediction-phase artifacts of step t - 1, reused to train at step t
     cache: dict[int, tuple] = {}
 
@@ -270,8 +259,8 @@ def run_stream(store, usecase, rho: int | str, *,
                 res.predicted = True
                 previous = ctx.prev_outcomes(pred_codes, t)
                 ledger.add_predictions(
-                    t, pred_codes, [entity_ids[c] for c in pred_codes],
-                    ppart.assignment, counts[pos].astype(np.int64), predictions, previous,
+                    t, pred_codes, ppart.assignment, counts[pos].astype(np.int64),
+                    predictions, previous,
                 )
 
         # -- resolution, after the step's predictions are ledgered so a

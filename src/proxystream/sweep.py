@@ -312,8 +312,10 @@ def execute_sweep(sweep: SweepConfig, jobs: int = 1) -> list[RunOutput]:
     The grid varies only rho, tau and seed, so the store is loaded once from
     the base config and shared by every run. With jobs > 1 each worker
     process receives it once, when the worker starts. If the load fails,
-    every run is recorded as failed with the load's traceback.
+    every run is recorded as failed with the load's traceback. ``jobs``
+    must be an integer >= 1.
     """
+    check_int("jobs", jobs, 1)
     configs = expand_grid(sweep)
     try:
         store = load_store_for(sweep.base)

@@ -332,6 +332,11 @@ class InvoiceArchetype:
             raise ValueError("duration_mean must be positive")
         if self.prefix_length < 0:
             raise ValueError("prefix_length must be >= 0")
+        if len(self.prefix_weights) != len(INVOICE_PREFIX_LABELS):
+            raise ValueError(f"archetype {self.name!r} has wrong prefix_weights length")
+        total = sum(self.prefix_weights)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"prefix weights must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)

@@ -861,3 +861,7 @@ def test_gap_is_deterministic_and_validated():
         mean_medoid_gap(1, 0)
     with pytest.raises(ValueError):
         mean_medoid_gap(1, 1, samples=0)
+    for args, name in [((2.5, 3), "n"), ((True, 2), "n"), ((3, 2.0), "d"),
+                       ((3, np.nan), "d"), ((3, 2, 10.5), "samples"), ((3, 2, False), "samples")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            mean_medoid_gap(*args)

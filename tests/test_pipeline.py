@@ -339,13 +339,13 @@ def test_run_result_lookup_and_config():
 # -- ledger and metric grouping -------------------------------------------
 
 def test_ledger_resolution_paths():
-    ledger = EvaluationLedger()
+    ledger = EvaluationLedger(["a", "b", "c"])
     ledger.add_predictions(
-        3, np.array([0, 1]), ["a", "b"], np.array([0, 0]), np.array([2, 2]),
+        3, np.array([0, 1]), np.array([0, 0]), np.array([2, 2]),
         np.array([1.0, 2.0]), None,
     )
     ledger.add_predictions(
-        4, np.array([2]), ["c"], np.array([0]), np.array([1]),
+        4, np.array([2]), np.array([0]), np.array([1]),
         np.array([3.0]), np.array([0.5]),
     )
     assert ledger.unresolved == 3
@@ -361,7 +361,7 @@ def test_ledger_resolution_paths():
 
 _LEDGER_STEPS = st.lists(
     st.tuples(st.sets(st.integers(0, 9), max_size=6),   # codes predicted at t
-              st.sets(st.integers(0, 9), max_size=6),   # codes resolved at t
+              st.lists(st.integers(0, 9), max_size=8),  # codes resolved at t, any order
               st.integers(0, 3),                        # age of the resolved step
               st.booleans()),                           # mixed mode: resolve by step
     min_size=1, max_size=12)
@@ -371,13 +371,13 @@ _LEDGER_STEPS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(steps=_LEDGER_STEPS)
 def test_ledger_resolves_each_prediction_once_with_its_own_truth(mode, steps):
-    ledger = EvaluationLedger()
+    ids = [f"e{c}" for c in range(10)]
+    ledger = EvaluationLedger(ids)
     truths: list[float | None] = []   # model of every record's truth
     for t, (predicted, resolved, age, flip) in enumerate(steps):
         by_step = mode == "step" or (mode == "mixed" and flip)
         codes = np.array(sorted(predicted), dtype=np.int64)
-        ledger.add_predictions(t, codes, [f"e{c}" for c in codes],
-                               np.zeros(len(codes)), np.ones(len(codes)),
+        ledger.add_predictions(t, codes, np.zeros(len(codes)), np.ones(len(codes)),
                                codes.astype(float), None)
         truths.extend([None] * len(codes))
         # a truth encodes the code it was asked for and the step it belongs to
@@ -387,7 +387,7 @@ def test_ledger_resolves_each_prediction_once_with_its_own_truth(mode, steps):
             due = [i for i, r in enumerate(ledger.records)
                    if truths[i] is None and r.step == step]
         else:
-            n = ledger.resolve_entities(np.array(sorted(resolved), dtype=np.int64),
+            n = ledger.resolve_entities(np.array(resolved, dtype=np.int64),
                                         lambda c: c * 100.0 + t)
             due = [i for i, r in enumerate(ledger.records)
                    if truths[i] is None and r.entity_code in resolved]
@@ -396,19 +396,20 @@ def test_ledger_resolves_each_prediction_once_with_its_own_truth(mode, steps):
             rec = ledger.records[i]
             truths[i] = rec.entity_code * 100.0 + (rec.step if by_step else t)
         assert [r.truth for r in ledger.records] == truths
+        assert all(r.entity_id == ids[r.entity_code] for r in ledger.records)
         assert ledger.unresolved == truths.count(None)
 
 
 def test_compute_metrics_groups_by_prediction_step():
-    ledger = EvaluationLedger()
+    ledger = EvaluationLedger(["a", "b", "c"])
     # step 5: one cluster of two entities, proxy prediction 10, truths 0 / 20
     ledger.add_predictions(
-        5, np.array([0, 1]), ["a", "b"], np.array([0, 0]), np.array([2, 2]),
+        5, np.array([0, 1]), np.array([0, 0]), np.array([2, 2]),
         np.array([10.0, 10.0]), None,
     )
     # step 6: a perfect singleton
     ledger.add_predictions(
-        6, np.array([2]), ["c"], np.array([0]), np.array([1]),
+        6, np.array([2]), np.array([0]), np.array([1]),
         np.array([4.0]), None,
     )
     ledger.resolve_step(5, lambda codes: np.array([0.0, 20.0]))
@@ -431,10 +432,9 @@ _MISSHAPEN = {
 @pytest.mark.parametrize("mode", ["step", "entities"])
 @pytest.mark.parametrize("bad", sorted(_MISSHAPEN))
 def test_misshapen_truths_raise_and_leave_the_ledger_unchanged(mode, bad):
-    ledger = EvaluationLedger()
+    ledger = EvaluationLedger(list("abcdefg"))
     codes = np.array([4, 5, 6])
-    ledger.add_predictions(3, codes, ["a", "b", "c"], np.zeros(3), np.ones(3),
-                           np.array([1.0, 2.0, 3.0]), None)
+    ledger.add_predictions(3, codes, np.zeros(3), np.ones(3), np.array([1.0, 2.0, 3.0]), None)
 
     def resolve(truth_fn):
         if mode == "step":
@@ -446,7 +446,7 @@ def test_misshapen_truths_raise_and_leave_the_ledger_unchanged(mode, bad):
         resolve(_MISSHAPEN[bad])
     assert ledger.records == before
     assert ledger.unresolved == 3
-    # both indexes still hold every row, so a good truth_fn resolves them all
+    # every row is still open, so a good truth_fn resolves them all
     assert resolve(lambda c: c * 10.0) == 3
     assert [r.truth for r in ledger.records] == [40.0, 50.0, 60.0]
     assert ledger.resolve_step(3, lambda c: c * 0.0) == 0
@@ -506,7 +506,7 @@ _BLOCKS = st.lists(
        resolved_share=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
 def test_compute_metrics_equals_record_by_record_scoring(blocks, seed, resolved_share):
     rng = np.random.default_rng(seed)
-    ledger = EvaluationLedger()
+    ledger = EvaluationLedger([f"e{c}" for c in range(sum(sum(b[1]) for b in blocks))])
     model: list[PredictionRecord] = []
     next_code = 0
     for step, cluster_sizes, with_previous in blocks:
@@ -519,8 +519,7 @@ def test_compute_metrics_equals_record_by_record_scoring(blocks, seed, resolved_
         scale = 10.0 ** rng.uniform(-3, 6)
         predicted = rng.normal(size=len(codes)) * scale
         previous = rng.normal(size=len(codes)) * scale if with_previous else None
-        ledger.add_predictions(step, codes, [f"e{c}" for c in codes], clusters, sizes,
-                               predicted, previous)
+        ledger.add_predictions(step, codes, clusters, sizes, predicted, previous)
         for i, code in enumerate(codes.tolist()):
             model.append(PredictionRecord(
                 step, code, f"e{code}", int(clusters[i]), int(sizes[i]), float(predicted[i]),

@@ -574,6 +574,22 @@ def test_cli_sweep_rejects_an_empty_list(tmp_path: Path, capsys, key) -> None:
     assert not out.exists()
 
 
+def test_cli_sweep_rejects_a_job_count_below_one(tmp_path: Path, capsys) -> None:
+    cfg = write_json(tmp_path / "sweep.json", {
+        "base": {"use_case": "supermarket", "tau": 2, "t_start": 10, "t_end": 13,
+                 "generator": tiny_generator()},
+        "rhos": [1],
+    })
+    out = tmp_path / "out"
+    for jobs in ("0", "-2"):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+    for jobs in (2.5, True):
+        with pytest.raises(ValueError, match="jobs"):
+            execute_sweep(sweep_mod.load_sweep_config(cfg), jobs=jobs)
+
+
 def test_cli_sweep_reports_total_failure(tmp_path: Path, capsys,
                                          quiet_sweep_logger) -> None:
     cfg = write_json(tmp_path / "sweep.json", {

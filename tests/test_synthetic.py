@@ -1,6 +1,8 @@
 """Synthetic stream generators: determinism, structure, spec validation."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,10 @@ def test_invoice_spec_validation():
         InvoiceStreamSpec(archetypes=archs, n_entities=10, attribute_purity=1.5)
     with pytest.raises(ValueError):
         InvoiceStreamSpec(archetypes=(), n_entities=10)
+    for weights, match in [((0.5, 0.5), "length"), ((0.2,) * 5, "length"),
+                           ((0.3,) * 6, "sum to 1"), ((0.2,) * 6 + (0.0,), "length")]:
+        with pytest.raises(ValueError, match=match):
+            replace(archs[0], prefix_weights=weights)
 
 
 def test_truth_tables_write_csv(tmp_path):
