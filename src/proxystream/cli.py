@@ -17,6 +17,7 @@ from .events import SchemaError
 from .filtering import bpic19_log_schema, filter_invoice_cases
 from .logio import read_event_log, write_event_log
 from .clustering import mean_medoid_gap
+from .models import check_int
 from .sweep import (
     RunOutput,
     execute_run,
@@ -121,6 +122,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_mean_medoid(args: argparse.Namespace) -> int:
     ns = [int(x) for x in args.n.split(",") if x]
     ds = [int(x) for x in args.d.split(",") if x]
+    for name, values in (("n", ns), ("d", ds), ("samples", [args.samples])):
+        for value in values:
+            check_int(name, value, 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

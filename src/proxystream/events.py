@@ -130,6 +130,8 @@ class EventStore:
         self._time_origin = time_origin
         if len(set(self._alphabet)) != len(self._alphabet):
             raise SchemaError("alphabet contains duplicate labels")
+        if not np.isfinite(times).all():
+            raise SchemaError("event times must be finite")
         for name, codes, size in (("entity", ent_codes, len(self._entity_ids)),
                                   ("activity", act_codes, len(self._alphabet))):
             if codes.shape != times.shape:

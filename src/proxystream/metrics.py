@@ -93,20 +93,15 @@ class MetricReport:
 
     steps: list[int] = field(default_factory=list)
     per_step: dict[str, list[float | None]] = field(default_factory=dict)
-    counts: dict[str, list[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in METRIC_NAMES:
             self.per_step.setdefault(name, [])
-            self.counts.setdefault(name, [])
 
-    def add_step(self, step: int, values: dict[str, float | None],
-                 counts: dict[str, int] | None = None) -> None:
+    def add_step(self, step: int, values: dict[str, float | None]) -> None:
         self.steps.append(step)
-        counts = counts or {}
         for name in METRIC_NAMES:
             self.per_step[name].append(values.get(name))
-            self.counts[name].append(counts.get(name, 0))
 
     def average(self, name: str) -> float | None:
         defined = [v for v in self.per_step[name] if v is not None]

@@ -50,21 +50,17 @@ _PHASE_PREDICT = 1
 
 @dataclass
 class StepResult:
-    """Per-step record: batch sizes, partitions and the predictions."""
+    """One ``steps.csv`` row: batch sizes, cluster counts and phase flags,
+    as fields in column order. Each prediction is a row of the ledger."""
 
     step: int
     n_train: int = 0
-    n_pred: int = 0
     k_train: int = 0
+    n_pred: int = 0
     k_pred: int = 0
     trained: bool = False
     predicted: bool = False
     reused_encoding: bool = False
-    train_codes: np.ndarray | None = None
-    train_partition: Partition | None = None
-    pred_codes: np.ndarray | None = None
-    pred_partition: Partition | None = None
-    predictions: np.ndarray | None = None
 
 
 @dataclass
@@ -232,9 +228,7 @@ def run_stream(store, usecase, rho: int | str, *,
                 model_x, cluster_x = ctx.encode_batch(codes, t - 1)
                 part = partition_batch(cluster_x, _PHASE_TRAIN, t)
         res.n_train = len(codes)
-        res.train_codes = codes
         if len(codes):
-            res.train_partition = part
             res.k_train = part.k
             _, px, py, _ = proxy_matrices(part, model_x, ctx.training_outcomes(codes, t))
             regressor.update(px, py)
@@ -246,21 +240,18 @@ def run_stream(store, usecase, rho: int | str, *,
         pmodel_x = ppart = None
         if len(pred_codes):
             pmodel_x, pcluster_x = ctx.encode_batch(pred_codes, t)
-            ppart = res.pred_partition = partition_batch(pcluster_x, _PHASE_PREDICT, t)
+            ppart = partition_batch(pcluster_x, _PHASE_PREDICT, t)
             res.k_pred = ppart.k
-            res.pred_codes = pred_codes
 
             if regressor.n_updates == 0:
                 logger.info("step %s: prediction skipped, model is cold", t)
             else:
                 cluster_ids, px, _, counts = proxy_matrices(ppart, pmodel_x)
                 pos = np.searchsorted(cluster_ids, ppart.assignment)
-                predictions = res.predictions = regressor.predict(px)[pos]
                 res.predicted = True
-                previous = ctx.prev_outcomes(pred_codes, t)
                 ledger.add_predictions(
                     t, pred_codes, ppart.assignment, counts[pos].astype(np.int64),
-                    predictions, previous,
+                    regressor.predict(px)[pos], ctx.prev_outcomes(pred_codes, t),
                 )
 
         # -- resolution, after the step's predictions are ledgered so a
@@ -296,7 +287,7 @@ def compute_metrics(ledger: EvaluationLedger) -> MetricReport:
     report = MetricReport()
     for step, rows in zip(steps.tolist(), np.split(by_step, starts[1:])):
         rows = rows[cols["resolved"][rows]]
-        values, counts = {}, {}
+        values = {}
         if len(rows):
             pred, truth = cols["predicted"][rows], cols["truth"][rows]
             by_cluster = np.argsort(cols["cluster"][rows], kind="stable")
@@ -305,15 +296,12 @@ def compute_metrics(ledger: EvaluationLedger) -> MetricReport:
                                                 _run_means(truth[by_cluster], first))
             values[ENTITY_RMSE] = entity_rmse(pred, truth)
             values[TURNOVER_APE] = turnover_ape(pred, truth)
-            counts.update({CLUSTER_RMSE: len(first), ENTITY_RMSE: len(rows),
-                           TURNOVER_APE: len(rows)})
             scored = rows[cols["has_previous"][rows]]
             if len(scored) >= 10:
                 values[TOP_DECILE_F1] = top_decile_f1(
                     cols["previous"][scored], cols["truth"][scored],
                     cols["predicted"][scored], entity_ids=cols["code"][scored])
-                counts[TOP_DECILE_F1] = len(scored)
-        report.add_step(step, values, counts)
+        report.add_step(step, values)
     return report
 
 

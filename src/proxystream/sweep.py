@@ -15,7 +15,7 @@ import json
 import logging
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +27,7 @@ from .filtering import filter_invoice_cases, invoice_log_schema
 from .logio import TIME_FORMATS, read_event_log
 from .metrics import METRIC_NAMES, format_value
 from .models import ModelSpec, check_int
-from .pipeline import ALL_TOKEN, KMEDOIDS, RANDOM, RunResult, check_rho, run_stream
+from .pipeline import ALL_TOKEN, KMEDOIDS, RANDOM, RunResult, StepResult, check_rho, run_stream
 from .synthetic import (
     archetype_invoice_spec,
     archetype_shopper_spec,
@@ -105,6 +105,12 @@ class RunConfig:
             check_int("t_end", self.t_end, self.t_start + 1)
         if self.events is None and self.generator is None:
             raise ValueError("config needs an events path or a generator block")
+        if not isinstance(self.events, (str, type(None))):
+            raise ValueError(f"events must be a path string, got {self.events!r}")
+        if not isinstance(self.generator, (dict, type(None))):
+            raise ValueError(f"generator must be an object, got {self.generator!r}")
+        if not isinstance(self.filter_cases, bool):
+            raise ValueError(f"filter_cases must be true or false, got {self.filter_cases!r}")
         if self.events is not None and self.generator is not None:
             raise ValueError("give either an events path or a generator block, not both")
 
@@ -408,15 +414,8 @@ def write_run_outputs(outdir: str | Path, out: RunOutput) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "results.csv", RESULT_COLUMNS, _result_rows(out))
     _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, _summary_rows(out))
-    step_rows = [
-        (s.step, s.n_train, s.k_train, s.n_pred, s.k_pred,
-         int(s.trained), int(s.predicted), int(s.reused_encoding))
-        for s in out.result.steps
-    ]
-    _write_csv(outdir / "steps.csv",
-               ("step", "n_train", "k_train", "n_pred", "k_pred",
-                "trained", "predicted", "reused_encoding"),
-               step_rows)
+    _write_csv(outdir / "steps.csv", [f.name for f in fields(StepResult)],
+               [tuple(map(int, astuple(s))) for s in out.result.steps])
     _manifest(outdir, {"kind": "run", "run_id": out.run_id,
                        "config": asdict(out.config),
                        "unresolved": out.result.config["unresolved"]})

@@ -3,8 +3,9 @@
 Each test finishes by printing a single ``CRITERION nn PASS/FAIL`` line
 (surfaced in the pytest summary via the project-wide ``-rP`` option) with
 the measured numbers. Every pipeline run executed in this file goes through
-:func:`audited_run`, which re-derives the partition laws at every step, so
-the law check of criterion 2 genuinely covers all acceptance runs.
+:func:`audited_run`, which re-derives the partition laws for every partition
+the run makes, so the law check of criterion 2 genuinely covers all
+acceptance runs.
 
 Tolerances are pinned in the assertions; none are tuned to the observed
 values after the fact.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import os
 import time
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -53,29 +55,50 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
-def check_partition_laws(result: RunResult, rho: int | str) -> None:
-    """Independently re-derive the per-step partition laws."""
+def _expected_k(n_points: int, rho: int | str) -> int:
+    return 1 if rho == "all" else -(-n_points // int(rho))
+
+
+def check_partition_laws(part, rho: int | str) -> None:
+    """Independently re-derive the partition laws for one batch partition."""
+    n_batch = part.n_points
+    expected_k = _expected_k(n_batch, rho)
+    assert part.k == expected_k, f"k {part.k} != {expected_k} for {n_batch} points"
+    assert part.assignment.shape == (n_batch,)
+    sizes = np.bincount(part.assignment, minlength=part.k)
+    assert sizes.sum() == n_batch          # total assignment
+    assert (sizes > 0).all()               # no empty cluster
+    part.validate()                        # range + medoid membership
+    _AUDIT["phases"] += 1
+    _AUDIT["clusters"] += part.k
+
+
+def audited(rho, run: Callable[[], RunResult]) -> RunResult:
+    """``run()`` with every partition it makes checked as it is made, and
+    each step's cluster counts checked against its batch sizes."""
+    def auditing(partition):
+        def wrapped(*args, **kw):
+            part = partition(*args, **kw)
+            check_partition_laws(part, rho)
+            return part
+        return wrapped
+
+    audited_before = _AUDIT["phases"]
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("k_medoids", "random_partition"):
+            patch.setattr(pipeline, name, auditing(getattr(pipeline, name)))
+        result = run()
     for step in result.steps:
-        for n_batch, part in ((step.n_train, step.train_partition),
-                              (step.n_pred, step.pred_partition)):
-            if part is None:
-                continue
-            expected_k = 1 if rho == "all" else -(-n_batch // int(rho))
-            assert part.k == expected_k, f"step {step.step}: k {part.k} != {expected_k}"
-            assert part.n_points == n_batch
-            assert part.assignment.shape == (n_batch,)
-            sizes = np.bincount(part.assignment, minlength=part.k)
-            assert sizes.sum() == n_batch          # total assignment
-            assert (sizes > 0).all()               # no empty cluster
-            part.validate()                        # range + medoid membership
-            _AUDIT["phases"] += 1
-            _AUDIT["clusters"] += part.k
+        for n_batch, k in ((step.n_train, step.k_train), (step.n_pred, step.k_pred)):
+            assert k == (_expected_k(n_batch, rho) if n_batch else 0), f"step {step.step}"
+    # a reused prediction partition trains the next step without a new call
+    made = sum(bool(s.n_train) and not s.reused_encoding for s in result.steps)
+    assert _AUDIT["phases"] - audited_before == made + sum(bool(s.n_pred) for s in result.steps)
+    return result
 
 
 def audited_run(store, usecase, rho, **kwargs) -> RunResult:
-    result = run_stream(store, usecase, rho, **kwargs)
-    check_partition_laws(result, rho)
-    return result
+    return audited(rho, lambda: run_stream(store, usecase, rho, **kwargs))
 
 
 def shopper_store(n_entities: int, horizon: int, seed: int):
@@ -100,15 +123,14 @@ def test_criterion_01_unit_capacity_equals_bypass() -> None:
     clustered = audited_run(store, usecase, 1, seed=0, steps=steps)
     reference = per_entity_predictions(store, usecase, ModelSpec(), 0, steps)
     assert [s.step for s in clustered.steps if s.predicted] == list(reference)
+    cols = clustered.ledger.columns
     n_predictions = 0
     identical = True
-    for step in clustered.steps:
-        if not step.predicted:
-            continue
-        codes, predictions = reference[step.step]
-        identical &= np.array_equal(step.pred_codes, codes)
-        identical &= step.predictions.tobytes() == predictions.tobytes()
-        n_predictions += len(step.predictions)
+    for t, (codes, predictions) in reference.items():
+        rows = cols[cols["step"] == t]
+        identical &= np.array_equal(rows["code"], codes)
+        identical &= rows["predicted"].tobytes() == predictions.tobytes()
+        n_predictions += len(rows)
     elapsed = time.monotonic() - t_begin
     report(1, "rho=1 equals the no-clustering path", identical and elapsed < 60,
            f"{n_predictions} predictions bit-identical over 20 steps, {elapsed:.1f}s")
@@ -433,8 +455,7 @@ def test_criterion_11_repeat_runs_are_byte_identical(tmp_path) -> None:
         first_dir = tmp_path / f"first_{index}"
         second_dir = tmp_path / f"second_{index}"
         for outdir in (first_dir, second_dir):
-            result = execute_run(cfg)
-            check_partition_laws(result, cfg.rho)
+            result = audited(cfg.rho, lambda: execute_run(cfg))
             write_run_outputs(outdir, RunOutput(run_id_for(cfg), cfg, result=result))
         for name in files:
             identical &= (first_dir / name).read_bytes() == (second_dir / name).read_bytes()

@@ -190,6 +190,9 @@ def test_store_sorts_columns_and_validates_codes():
         EventStore(**_columns(entity_codes=np.array([0, 3])))
     with pytest.raises(ValueError):
         EventStore(**_columns(times=np.array([-1.0, 1.0])))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SchemaError, match="finite"):
+            EventStore(**_columns(times=np.array([0.0, bad])))
 
 
 @pytest.mark.parametrize("overrides", [

@@ -144,11 +144,11 @@ def test_rho_one_matches_bypass_exactly(make_store, usecase, spec, steps):
     reference = per_entity_predictions(store, usecase, spec, 9, steps)
     assert reference
     assert [s.step for s in run.steps if s.predicted] == list(reference)
-    for step in run.steps:
-        if step.predicted:
-            codes, predictions = reference[step.step]
-            assert np.array_equal(step.pred_codes, codes)
-            assert step.predictions.tobytes() == predictions.tobytes()
+    cols = run.ledger.columns
+    for t, (codes, predictions) in reference.items():
+        rows = cols[cols["step"] == t]
+        assert np.array_equal(rows["code"], codes)
+        assert rows["predicted"].tobytes() == predictions.tobytes()
 
 
 def test_rho_one_entity_metrics_equal_cluster_metrics():
@@ -165,23 +165,29 @@ def test_same_seed_reproduces_run_exactly():
     usecase = SupermarketUseCase(tau=3)
     a = run_stream(store, usecase, 8, seed=3, steps=range(4, 10))
     b = run_stream(store, usecase, 8, seed=3, steps=range(4, 10))
-    for sa, sb in zip(a.steps, b.steps):
-        if sa.predictions is not None:
-            assert np.array_equal(sa.predictions, sb.predictions)
-        if sa.train_partition is not None:
-            assert np.array_equal(sa.train_partition.assignment,
-                                  sb.train_partition.assignment)
+    assert len(a.ledger.columns)
+    assert a.ledger.columns.tobytes() == b.ledger.columns.tobytes()
+    assert a.steps == b.steps
     assert a.metrics.averages == b.metrics.averages
 
 
-def test_prediction_artifacts_are_reused_for_next_training():
+def test_prediction_artifacts_are_reused_for_next_training(monkeypatch):
     store = _shopper_store(n=50, horizon=10, seed=8)
+    calls, k_medoids = [], pipeline.k_medoids
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return k_medoids(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "k_medoids", counted)
     run = run_stream(store, SupermarketUseCase(tau=3), 5, seed=1, steps=range(4, 10))
-    assert not run.steps[0].reused_encoding
+    first = run.steps[0]
+    assert not first.reused_encoding and first.n_train
+    # each prediction batch is partitioned once, and only the first training batch
+    assert calls == [first.n_train] + [s.n_pred for s in run.steps if s.n_pred]
     for prev, cur in zip(run.steps, run.steps[1:]):
         assert cur.reused_encoding
-        assert np.array_equal(cur.train_codes, prev.pred_codes)
-        assert cur.train_partition is prev.pred_partition
+        assert (cur.n_train, cur.k_train) == (prev.n_pred, prev.k_pred)
 
 
 def test_invoice_pipeline_predicts_each_case_once_and_resolves_same_day():
@@ -248,9 +254,12 @@ def test_no_lookahead_in_predictions():
                      for f in store.event_schema},
     )
     cut = run_stream(truncated, SupermarketUseCase(tau=3), 4, seed=7, steps=steps)
-    for sa, sb in zip(full.steps, cut.steps):
-        if sa.step < t_last and sa.predictions is not None:
-            assert np.array_equal(sa.predictions, sb.predictions)
+    a, b = (run.ledger.columns for run in (full, cut))
+    a, b = a[a["step"] < t_last], b[b["step"] < t_last]
+    assert len(a)
+    for name in ("step", "code", "cluster", "size", "predicted", "previous"):
+        assert np.array_equal(a[name], b[name])
+    assert full.steps[:-1] == cut.steps[:-1]
 
 
 def test_noiseless_stream_is_predicted_exactly():
@@ -295,10 +304,9 @@ def test_random_partitioner_is_seeded():
                    partitioner="random", steps=range(4, 9))
     b = run_stream(store, SupermarketUseCase(tau=3), 5, seed=4,
                    partitioner="random", steps=range(4, 9))
-    for sa, sb in zip(a.steps, b.steps):
-        if sa.train_partition is not None:
-            assert np.array_equal(sa.train_partition.assignment,
-                                  sb.train_partition.assignment)
+    assert len(a.ledger.columns)
+    assert a.ledger.columns.tobytes() == b.ledger.columns.tobytes()
+    assert a.steps == b.steps
 
 
 def test_run_stream_validates_arguments():
@@ -462,12 +470,10 @@ def _reference_metrics(records: list[PredictionRecord]) -> MetricReport:
     for step in sorted(by_step):
         recs = [r for r in by_step[step] if r.truth is not None]
         values: dict[str, float | None] = {}
-        counts: dict[str, int] = {}
         if recs:
             pred = np.array([r.predicted for r in recs])
             truth = np.array([r.truth for r in recs])
             values[ENTITY_RMSE] = entity_rmse(pred, truth)
-            counts[ENTITY_RMSE] = len(recs)
             by_cluster: dict[int, list[PredictionRecord]] = {}
             for r in recs:
                 by_cluster.setdefault(r.cluster_index, []).append(r)
@@ -478,7 +484,6 @@ def _reference_metrics(records: list[PredictionRecord]) -> MetricReport:
                 proxy_pred.append(members[0].predicted)
                 cluster_truth.append(float(np.mean([m.truth for m in members])))
             values[CLUSTER_RMSE] = cluster_rmse(np.array(proxy_pred), np.array(cluster_truth))
-            counts[CLUSTER_RMSE] = len(by_cluster)
             scored = [r for r in recs if r.previous is not None]
             if len(scored) >= 10:
                 values[TOP_DECILE_F1] = top_decile_f1(
@@ -487,10 +492,8 @@ def _reference_metrics(records: list[PredictionRecord]) -> MetricReport:
                     np.array([r.predicted for r in scored]),
                     entity_ids=np.array([r.entity_code for r in scored]),
                 )
-                counts[TOP_DECILE_F1] = len(scored)
             values[TURNOVER_APE] = turnover_ape(pred, truth)
-            counts[TURNOVER_APE] = len(recs)
-        report.add_step(step, values, counts)
+        report.add_step(step, values)
     return report
 
 
@@ -538,7 +541,6 @@ def test_compute_metrics_equals_record_by_record_scoring(blocks, seed, resolved_
     got, want = compute_metrics(ledger), _reference_metrics(model)
     assert got.steps == want.steps
     assert got.per_step == want.per_step
-    assert got.counts == want.counts
 
 
 def test_run_stream_builds_no_prediction_records(monkeypatch):

@@ -121,6 +121,10 @@ def test_run_config_validation() -> None:
         {"generator": tiny_generator(), "seed": 1.0},
         {"generator": tiny_generator(), "distance": "binned_euclidean", "n_bins": True},
         {"generator": tiny_generator(), "events": "x.csv"},
+        {"generator": 5},
+        {"generator": "shopper"},
+        {"events": 5},
+        {"generator": tiny_generator(), "filter_cases": "false"},
         {},
         {"generator": tiny_generator(), "model": {"kind": "rls_linear", "depth": 3}},
         {"generator": tiny_generator(), "model": {"kind": "rls_linear", "input_width": 5}},
@@ -620,6 +624,21 @@ def test_cli_mean_medoid_table(tmp_path: Path, capsys) -> None:
     assert set(gaps) == {5, 20}
     assert gaps[20] < gaps[5]
     assert "n=    5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, values, name", [
+    ("--n", "0", "n"), ("--n", "5,0", "n"), ("--d", "2,-1", "d"), ("--samples", "0", "samples"),
+])
+def test_cli_mean_medoid_checks_arguments_before_writing(tmp_path: Path, capsys,
+                                                         flag, values, name) -> None:
+    out = tmp_path / "out"
+    args = {"--n": "5", "--d": "2", "--samples": "10", flag: values}
+    assert main(["mean-medoid", *(x for pair in args.items() for x in pair),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{name} must be an integer >= 1" in captured.err
+    assert captured.out == ""  # no gap was computed before the check
+    assert not out.exists()
 
 
 INVOICE_FIXTURE_ATTRIBUTES = {
