@@ -119,9 +119,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if len(failed) == len(outputs) and outputs else 0
 
 
+def _int_list(text: str) -> list:
+    """Comma-separated integers; a value that is not one stays a string, so
+    that ``check_int`` names its flag."""
+    values = []
+    for x in filter(None, text.split(",")):
+        try:
+            values.append(int(x))
+        except ValueError:
+            values.append(x)
+    return values
+
+
 def cmd_mean_medoid(args: argparse.Namespace) -> int:
-    ns = [int(x) for x in args.n.split(",") if x]
-    ds = [int(x) for x in args.d.split(",") if x]
+    ns, ds = _int_list(args.n), _int_list(args.d)
     for name, values in (("n", ns), ("d", ds), ("samples", [args.samples])):
         for value in values:
             check_int(name, value, 1)

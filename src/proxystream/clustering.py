@@ -17,7 +17,9 @@ round computes distances only to the medoids that moved: a point whose own
 medoid moved gets a full row; every other point switches to a moved cluster
 only if that distance is strictly smaller than its kept one, or equal with a
 lower cluster index. That explicit rule gives the same clusters as an argmin
-over the whole row.
+over the whole row. A medoid point gets no distance row in any round: it
+belongs to its own cluster at distance 0, so at ``rho=2``, where half the
+points are medoids, round 1 computes half the rows.
 
 The medoid update is incremental too. Only clusters that gained or lost a
 point in the latest assignment are recomputed; every other cluster keeps its
@@ -432,8 +434,8 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
         return _singleton_partition(n, init)
     handler = _handler(points, spec)
     # round 1 is an incremental round in which every cluster has moved, so
-    # every point gets a full row
-    assignment, best, moved = np.zeros(n, dtype=np.int64), np.empty(n), np.arange(k)
+    # every point but a medoid gets a full row
+    assignment, best, moved = np.zeros(n, dtype=np.int64), np.zeros(n), np.arange(k)
 
     if k == 1:
         medoids = _medoid_update(handler, assignment, 1, weights)
@@ -494,26 +496,31 @@ def _reassign(handler, medoids: np.ndarray, weights: np.ndarray,
     previous round: a point whose cluster is among them gets a full row, and
     every other point keeps its cluster and value ``best`` unless a moved
     column is strictly smaller, or equal with a lower cluster index, which is
-    argmin's lowest-index rule over the whole row. ``assignment`` and
-    ``best`` are updated in place.
+    argmin's lowest-index rule over the whole row. A medoid point gets no
+    distance row: its cluster is its own and its value 0. No row is lost, as
+    a medoid that stays one is set back every round, and one whose cluster's
+    medoid moved is in a moved cluster at the next call, so it gets a full
+    row then. ``assignment`` and ``best`` are updated in place.
     """
     k = len(medoids)
     stale = np.zeros(k, dtype=bool)
     stale[moved] = True
     stale = stale[assignment]
-    kept = np.nonzero(~stale)[0]
+    # a medoid gets no row: it belongs to its own cluster at distance 0, even
+    # among exact duplicates
+    other = np.ones(len(assignment), dtype=bool)
+    other[medoids] = False
+    kept = np.nonzero(other & ~stale)[0]
     cols, values = _nearest(handler, medoids[moved], kept)
     cols = moved[cols]
     take = (values < best[kept]) | ((values == best[kept]) & (cols < assignment[kept]))
     assignment[kept[take]] = cols[take]
     best[kept[take]] = values[take]
-    rows = np.nonzero(stale)[0]
+    rows = np.nonzero(other & stale)[0]
     assignment[rows], best[rows] = _nearest(handler, medoids, rows)
-    # a medoid always belongs to its own cluster, even among exact duplicates
     assignment[medoids] = np.arange(k)
-    mind = handler.finalize(best.copy())
-    mind[medoids] = 0.0
-    return float(mind @ weights)
+    best[medoids] = 0.0
+    return float(handler.finalize(best) @ weights)
 
 
 # -- proxies ---------------------------------------------------------------

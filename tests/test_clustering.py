@@ -531,6 +531,135 @@ def test_assignment_blocks_stay_within_the_batch_limit(kind, monkeypatch):
         assert max(r for r, _ in shapes) < part.n_points
 
 
+def _record_reassign(monkeypatch):
+    """Per ``_reassign`` call, its medoids and every ``assign_values`` block
+    it requests, as (rows, medoid count)."""
+    calls = []
+
+    def reassign(handler, medoids, *args, _orig=clustering._reassign):
+        calls.append((medoids.copy(), []))
+        return _orig(handler, medoids, *args)
+    monkeypatch.setattr(clustering, "_reassign", reassign)
+    for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
+        def record(self, medoids, rows, _orig=cls.assign_values):
+            calls[-1][1].append((np.asarray(rows).copy(), len(medoids)))
+            return _orig(self, medoids, rows)
+        monkeypatch.setattr(cls, "assign_values", record)
+    return calls
+
+
+def _assignment_case(kind: str):
+    rng = np.random.default_rng(9)
+    if kind == "gower":
+        pts = np.column_stack([rng.normal(size=(200, 2)), rng.integers(0, 4, (200, 2))])
+        return pts, gower_spec([False, False, True, True])
+    pts = rng.normal(size=(200, 3))
+    return pts, binned_spec(n_bins=6) if kind == "binned" else euclidean_spec()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
+def test_assignment_requests_no_medoid_row(kind, monkeypatch):
+    calls = _record_reassign(monkeypatch)
+    pts, spec = _assignment_case(kind)
+    for k in (1, 7, 60, 100):
+        calls.clear()
+        part = k_medoids(pts, k, spec, seed=2)
+        part.validate()
+        assert len(calls) > 1 or k == 1
+        for medoids, blocks in calls:
+            assert blocks
+            for rows, _ in blocks:
+                assert not np.isin(rows, medoids).any()
+
+
+def test_first_assignment_round_requests_only_non_medoid_rows(monkeypatch):
+    calls = _record_reassign(monkeypatch)
+    n, k = 200, 100
+    k_medoids(np.random.default_rng(3).normal(size=(n, 5)), k, seed=0)
+    _, first_round = calls[0]
+    assert sum(len(rows) * width for rows, width in first_round) == (n - k) * k
+
+
+def _matches_full_recompute(pts, k, spec=None, **kwargs):
+    got = k_medoids(pts, k, spec, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_k_medoids_work", _full_recompute_work)
+        want = k_medoids(pts, k, spec, **kwargs)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.medoids, want.medoids)
+    assert got.cost_history == want.cost_history
+    got.validate()
+    return got
+
+
+def _integer_points(kind: str, n: int, seed: int):
+    pts = np.random.default_rng(seed).integers(0, 5, (n, 2)).astype(float)
+    spec = {"euclidean": None, "binned": binned_spec(n_bins=2),
+            "gower": gower_spec([False, True])}[kind]
+    return pts, spec
+
+
+# n, k and k_medoids arguments of cases at the edges of the row sets
+_EDGE_CASES = {
+    "one_non_medoid_row": (7, 6, {}),
+    "zero_weights": (20, 5, {"weights": np.zeros(20)}),
+    "some_zero_weights": (20, 5, {"weights": np.where(np.arange(20) % 2 == 0, 0.0, 2.0)}),
+    "one_round": (30, 6, {"max_iter": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+@pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
+def test_assignment_edge_cases_match_the_oracle(kind, case):
+    n, k, kwargs = _EDGE_CASES[case]
+    for seed in range(4):
+        pts, spec = _integer_points(kind, n, seed)
+        _matches_full_recompute(pts, k, spec, seed=seed, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "gower"])
+def test_points_that_duplicate_a_medoid_match_the_oracle(kind):
+    spec = gower_spec([False, True]) if kind == "gower" else None
+    # every value ties at 0: each non-medoid point joins cluster 0, whose
+    # medoid moves to its lowest member
+    same = np.ones((8, 2))
+    part = _matches_full_recompute(same, 3, spec, seed=1)
+    assert set(part.cost_history) == {0.0}
+    want = np.zeros(8, dtype=np.int64)
+    want[part.medoids] = np.arange(3)
+    assert np.array_equal(part.assignment, want) and part.medoids[0] == 0
+    # each point a copy of one of three medoids
+    copies = np.repeat(np.array([[0.0, 0.0], [3.0, 1.0], [6.0, 2.0]]), 4, axis=0)
+    part = _matches_full_recompute(copies, 3, spec, init_medoids=[1, 6, 11])
+    assert np.array_equal(part.assignment, np.repeat(np.arange(3), 4))
+    assert part.cost_history[-1] == 0.0
+
+
+def test_empty_kept_rows_match_the_oracle(monkeypatch):
+    """Rounds in which no point keeps its cluster unexamined. The stale rows
+    are never empty after round 1: a moved cluster still holds its old
+    medoid, which is no medoid now."""
+    sizes = []
+
+    def nearest(handler, medoids, rows, _orig=clustering._nearest):
+        sizes.append(len(rows))
+        return _orig(handler, medoids, rows)
+    monkeypatch.setattr(clustering, "_nearest", nearest)
+    # one cluster moves its medoid from 0 to 1, the other is a singleton
+    part = _matches_full_recompute(np.array([[0.0], [1.0], [2.0], [10.0]]), 2,
+                                   init_medoids=[0, 3])
+    assert np.array_equal(part.medoids, [1, 3])
+    # per round, kept rows then stale rows (_matches_full_recompute's oracle
+    # run does not call _nearest)
+    assert sizes == [0, 2, 0, 2]
+    sizes.clear()
+    # k = n - 1: cluster 0 moves its medoid from 1 to 0, every other point is a medoid
+    part = _matches_full_recompute(np.array([[0.0], [1.0], [5.0], [9.0]]), 3,
+                                   init_medoids=[1, 2, 3])
+    assert np.array_equal(part.medoids, [0, 2, 3])
+    assert sizes == [0, 1, 0, 1]
+
+
 def _record_cross(monkeypatch, blocks):
     """Append (shape, rows is cols) for every ``cross`` block made inside
     ``_medoid_update`` (Gower assignment calls ``cross`` too)."""

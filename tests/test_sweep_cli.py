@@ -628,6 +628,7 @@ def test_cli_mean_medoid_table(tmp_path: Path, capsys) -> None:
 
 @pytest.mark.parametrize("flag, values, name", [
     ("--n", "0", "n"), ("--n", "5,0", "n"), ("--d", "2,-1", "d"), ("--samples", "0", "samples"),
+    ("--n", "5.5", "n"), ("--d", "x", "d"),
 ])
 def test_cli_mean_medoid_checks_arguments_before_writing(tmp_path: Path, capsys,
                                                          flag, values, name) -> None:
