@@ -8,6 +8,8 @@ model, predict for the prediction batch, and resolve earlier predictions
 once their ground truth arrives. This script runs both use cases at a
 moderate capacity and prints what happens at every step.
 """
+import numpy as np
+
 from proxystream.pipeline import run_stream
 from proxystream.synthetic import (
     archetype_invoice_spec,
@@ -53,17 +55,20 @@ print("  averages:", {name: short(value)
                       for name, value in result.metrics.averages.items()})
 
 ###############################################################################
-# The ledger keeps every prediction with its cluster context. Predictions
-# made at step t against next week's spend resolve one step later, so the
-# final step's are still open when the run ends.
+# The ledger keeps every prediction with its cluster context, one row of the
+# structured array `ledger.records` each. Predictions made at step t against
+# next week's spend resolve one step later, so the final step's are still
+# open when the run ends. A row holds the entity's code; the store maps it
+# back to the shopper's id.
 
-open_predictions = [r for r in result.ledger.records if r.truth is None]
-print(f"\n  ledger: {len(result.ledger.records)} predictions, "
-      f"{len(open_predictions)} still unresolved (the final step's)")
-sample = result.ledger.resolved_records()[0]
-print(f"  first resolved record: step {sample.step}, shopper {sample.entity_id}, "
-      f"cluster of {sample.cluster_size}, predicted {sample.predicted:.1f}, "
-      f"truth {sample.truth:.1f}")
+records = result.ledger.records
+print(f"\n  ledger: {len(records)} predictions, "
+      f"{(~records['resolved']).sum()} still unresolved (the final step's)")
+sample = records[records["resolved"]][0]
+print(f"  first resolved record: step {sample['step']}, "
+      f"shopper {store.entity_ids[sample['code']]}, "
+      f"cluster of {sample['size']}, predicted {sample['predicted']:.1f}, "
+      f"truth {sample['truth']:.1f}")
 
 ###############################################################################
 # Paint factory: daily steps, one prediction per invoice on its creation
@@ -85,16 +90,17 @@ print("  averages:", {name: short(value)
 ###############################################################################
 # Every resolved prediction's truth equals the invoice's actual duration.
 
-resolved = invoice_result.ledger.resolved_records()
+records = invoice_result.ledger.records
+resolved = records[records["resolved"]]
 case_index = {case: i for i, case in enumerate(truth.entity_ids)}
-gaps = [abs(record.truth - truth.durations[case_index[record.entity_id]])
-        for record in resolved]
+cases = [case_index[invoices.entity_ids[code]] for code in resolved["code"]]
+gaps = np.abs(resolved["truth"] - truth.durations[cases])
 print(f"  resolved truths match generator durations: "
-      f"max gap {max(gaps):.2e} over {len(resolved)} cases")
+      f"max gap {gaps.max():.2e} over {len(resolved)} cases")
 
 ###############################################################################
 # Determinism: the same config and seed reproduce the run bit for bit.
 
 rerun = run_stream(store, SupermarketUseCase(tau=3), 8, seed=0)
-matches = result.ledger.columns.tobytes() == rerun.ledger.columns.tobytes()
+matches = result.ledger.records.tobytes() == rerun.ledger.records.tobytes()
 print(f"\nsame seed, same predictions: {matches}")

@@ -28,11 +28,13 @@ def check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_positive(name: str, value) -> None:
-    """Raise unless ``value`` is a finite real number (not a bool) above 0."""
+def check_finite(name: str, value, *, positive: bool) -> None:
+    """Raise unless ``value`` is a finite real number (not a bool) above 0,
+    or at least 0 where ``positive`` is false."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not 0 < value < np.inf):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            or not (0 < value < np.inf if positive else 0 <= value < np.inf)):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {kind} finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in (RLS_LINEAR, SGD_MLP):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        _check_positive("ridge", self.ridge)
-        _check_positive("learning_rate", self.learning_rate)
+        check_finite("ridge", self.ridge, positive=True)
+        check_finite("learning_rate", self.learning_rate, positive=True)
         check_int("hidden", self.hidden, 1)
         check_int("epochs", self.epochs, 1)
 
@@ -89,7 +91,7 @@ class RecursiveLeastSquares:
 
     def __init__(self, input_width: int, ridge: float = 1e-6) -> None:
         check_int("input_width", input_width, 1)
-        _check_positive("ridge", ridge)
+        check_finite("ridge", ridge, positive=True)
         self.input_width = input_width
         self.ridge = ridge
         d = input_width + 1
@@ -135,7 +137,7 @@ class OnlineMLP:
                  seed: SeedLike = 0) -> None:
         check_int("input_width", input_width, 1)
         check_int("hidden", hidden, 1)
-        _check_positive("learning_rate", learning_rate)
+        check_finite("learning_rate", learning_rate, positive=True)
         check_int("epochs", epochs, 1)
         self.input_width = input_width
         self.hidden = hidden

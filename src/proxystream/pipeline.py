@@ -5,6 +5,8 @@ Each step trains the shared incremental model on the step's proxy entities
 batch's proxies and assigns every member its proxy's prediction. Predictions
 are held in a ledger until their ground truth arrives (next step for weekly
 streams, the case's training step for invoice streams) and scored at the end.
+``ledger.records`` is the ledger's one view: a structured array with a row per
+prediction, keyed by entity code (the id is ``store.entity_ids[code]``).
 
 Determinism: every random draw comes from a purpose-tagged
 ``SeedSequence(seed, spawn_key=...)``, so clustering draws cannot perturb
@@ -32,7 +34,7 @@ from .metrics import (
     top_decile_f1,
     turnover_ape,
 )
-from .models import ModelSpec, init_model
+from .models import ModelSpec, check_int, init_model
 from .usecases import RESOLVE_NEXT_STEP
 
 logger = logging.getLogger(__name__)
@@ -63,43 +65,30 @@ class StepResult:
     reused_encoding: bool = False
 
 
-@dataclass
-class PredictionRecord:
-    step: int
-    entity_code: int
-    entity_id: object
-    cluster_index: int
-    cluster_size: int
-    predicted: float
-    previous: float | None
-    truth: float | None = None
-
-
 _ROW = np.dtype([("step", np.int64), ("code", np.int64), ("cluster", np.int64),
                  ("size", np.int64), ("predicted", float), ("previous", float),
                  ("truth", float), ("has_previous", bool), ("resolved", bool)])
 
 
 class EvaluationLedger:
-    """Pending and resolved predictions, one row each in numpy columns.
+    """Pending and resolved predictions, one row each of a structured array.
 
     Each ``add_predictions`` call appends a block of rows; ``_open`` holds
     the rows still waiting for a truth, in the order they were added. Both
     resolve methods pick their rows from ``_open`` and hand ``truth_fn`` the
-    picked rows' codes in that row order. ``entity_ids`` is the store's id
-    list, indexed by entity code. ``records`` and ``resolved_records()``
-    build :class:`PredictionRecord` objects on demand.
+    picked rows' codes in that row order. A row's ``truth`` reads 0.0 until
+    ``resolved`` is set, and its ``previous`` reads 0.0 unless
+    ``has_previous`` is set.
     """
 
-    def __init__(self, entity_ids: list) -> None:
-        self._entity_ids = entity_ids
+    def __init__(self) -> None:
         self._rows = np.zeros(0, dtype=_ROW)
         self._n = 0
         self._open = np.zeros(0, dtype=np.int64)
 
     @property
-    def columns(self) -> np.ndarray:
-        """The filled rows: a structured array with the fields of ``_ROW``."""
+    def records(self) -> np.ndarray:
+        """The filled rows: a view of the row buffer, with the fields of ``_ROW``."""
         return self._rows[:self._n]
 
     def add_predictions(self, step: int, codes: np.ndarray,
@@ -145,18 +134,6 @@ class EvaluationLedger:
     def unresolved(self) -> int:
         return len(self._open)
 
-    @property
-    def records(self) -> list[PredictionRecord]:
-        cols = [self.columns[name].tolist() for name in _ROW.names]
-        return [PredictionRecord(step, code, self._entity_ids[code], cluster, size, predicted,
-                                 previous if has_previous else None,
-                                 truth if resolved else None)
-                for step, code, cluster, size, predicted, previous, truth,
-                has_previous, resolved in zip(*cols)]
-
-    def resolved_records(self) -> list[PredictionRecord]:
-        return [r for r in self.records if r.truth is not None]
-
 
 @dataclass
 class RunResult:
@@ -192,9 +169,10 @@ def run_stream(store, usecase, rho: int | str, *,
     ctx = usecase.prepare(store)
     if steps is None:
         steps = usecase.default_steps(store)
+    steps = list(steps)
+    for t in steps:
+        check_int("steps", t, 0)
     step_list = [int(t) for t in steps]
-    if any(t < 0 for t in step_list):
-        raise ValueError("steps must be non-negative")
     if sorted(set(step_list)) != step_list:
         raise ValueError("steps must be strictly increasing")
 
@@ -210,7 +188,7 @@ def run_stream(store, usecase, rho: int | str, *,
         return k_medoids(cluster_x, k, ctx.distance_template(), seed=cluster_seed,
                          max_iter=max_iter)
 
-    ledger = EvaluationLedger(store.entity_ids)
+    ledger = EvaluationLedger()
     results: list[StepResult] = []
     # prediction-phase artifacts of step t - 1, reused to train at step t
     cache: dict[int, tuple] = {}
@@ -270,18 +248,18 @@ def run_stream(store, usecase, rho: int | str, *,
                   model=spec, steps=step_list, n_entities=store.entity_count,
                   unresolved=ledger.unresolved)
     logger.info("run complete: %d steps, %d predictions (%d unresolved)",
-                len(step_list), len(ledger.columns), ledger.unresolved)
+                len(step_list), len(ledger.records), ledger.unresolved)
     return RunResult(steps=results, ledger=ledger, metrics=report, config=config)
 
 
 def compute_metrics(ledger: EvaluationLedger) -> MetricReport:
-    """Score resolved ledger rows, grouped by prediction step.
+    """Score the resolved rows of ``ledger.records``, grouped by prediction step.
 
     A stable sort by cluster keeps each cluster's members in ledger order:
     the proxy prediction is the first member's, and the mean truth sums the
     members in the order the row-by-row ``np.mean`` did.
     """
-    cols = ledger.columns
+    cols = ledger.records
     by_step = np.argsort(cols["step"], kind="stable")
     steps, starts = np.unique(cols["step"][by_step], return_index=True)
     report = MetricReport()

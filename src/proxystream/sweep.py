@@ -231,6 +231,14 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.taus is not None and self.base.use_case == PAINT_FACTORY:
             raise ValueError("taus apply to supermarket sweeps only")
+        # every value is checked here, before expand_grid drops repeats by
+        # ==, under which True equals 1 and 2.0 equals 2
+        for rho in self.rhos:
+            check_rho(rho)
+        for tau in self.taus or ():
+            check_int("tau", tau, 2)
+        for seed in self.seeds:
+            check_int("seed", seed, 0)
 
 
 def _list_value(data: dict, key: str, default: list) -> tuple:

@@ -24,6 +24,7 @@ from .filtering import (
     VCI_LABEL,
 )
 from .logio import ColumnSpec, LogSchema
+from .models import check_finite, check_int
 
 SHOPPER_LABELS = (
     "bakery", "beverages", "dairy", "frozen",
@@ -90,12 +91,12 @@ class ShopperStreamSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_entities < 1 or self.horizon < 1:
-            raise ValueError("need at least one entity and one week")
-        if self.noise_scale < 0 or self.entity_spread < 0 or self.attr_noise < 0:
-            raise ValueError("noise scales must be >= 0")
-        if self.start_spread < 0:
-            raise ValueError("start_spread must be >= 0")
+        check_int("n_entities", self.n_entities, 1)
+        check_int("horizon", self.horizon, 1)
+        check_int("start_spread", self.start_spread, 0)
+        check_int("seed", self.seed, 0)
+        for name in ("noise_scale", "entity_spread", "attr_noise"):
+            check_finite(name, getattr(self, name), positive=False)
         if not self.archetypes:
             raise ValueError("need at least one archetype")
         for a in self.archetypes:
@@ -351,14 +352,15 @@ class InvoiceStreamSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_int("n_entities", self.n_entities, 0)
+        check_int("seed", self.seed, 0)
         if self.arrival_rate is None and self.n_entities < 1:
             raise ValueError("need n_entities or arrival_rate")
-        if self.arrival_rate is not None and self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
-        if self.horizon <= 0 or self.prefix_span <= 0:
-            raise ValueError("horizon and prefix_span must be positive")
+        if self.arrival_rate is not None:
+            check_finite("arrival_rate", self.arrival_rate, positive=True)
+        check_finite("noise_scale", self.noise_scale, positive=False)
+        check_finite("horizon", self.horizon, positive=True)
+        check_finite("prefix_span", self.prefix_span, positive=True)
         if not 0.0 <= self.attribute_purity <= 1.0:
             raise ValueError("attribute_purity must be in [0, 1]")
         if not self.archetypes:

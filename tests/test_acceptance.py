@@ -123,7 +123,7 @@ def test_criterion_01_unit_capacity_equals_bypass() -> None:
     clustered = audited_run(store, usecase, 1, seed=0, steps=steps)
     reference = per_entity_predictions(store, usecase, ModelSpec(), 0, steps)
     assert [s.step for s in clustered.steps if s.predicted] == list(reference)
-    cols = clustered.ledger.columns
+    cols = clustered.ledger.records
     n_predictions = 0
     identical = True
     for t, (codes, predictions) in reference.items():

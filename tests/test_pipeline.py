@@ -1,6 +1,8 @@
 """Use-case selection rules and the prequential pipeline loop."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from proxystream.metrics import (
 )
 from proxystream.models import ModelSpec
 from proxystream.pipeline import (
-    PredictionRecord,
+    _ROW,
     EvaluationLedger,
     compute_metrics,
     run_stream,
@@ -144,7 +146,7 @@ def test_rho_one_matches_bypass_exactly(make_store, usecase, spec, steps):
     reference = per_entity_predictions(store, usecase, spec, 9, steps)
     assert reference
     assert [s.step for s in run.steps if s.predicted] == list(reference)
-    cols = run.ledger.columns
+    cols = run.ledger.records
     for t, (codes, predictions) in reference.items():
         rows = cols[cols["step"] == t]
         assert np.array_equal(rows["code"], codes)
@@ -165,8 +167,8 @@ def test_same_seed_reproduces_run_exactly():
     usecase = SupermarketUseCase(tau=3)
     a = run_stream(store, usecase, 8, seed=3, steps=range(4, 10))
     b = run_stream(store, usecase, 8, seed=3, steps=range(4, 10))
-    assert len(a.ledger.columns)
-    assert a.ledger.columns.tobytes() == b.ledger.columns.tobytes()
+    assert len(a.ledger.records)
+    assert a.ledger.records.tobytes() == b.ledger.records.tobytes()
     assert a.steps == b.steps
     assert a.metrics.averages == b.metrics.averages
 
@@ -193,31 +195,31 @@ def test_prediction_artifacts_are_reused_for_next_training(monkeypatch):
 def test_invoice_pipeline_predicts_each_case_once_and_resolves_same_day():
     store, truth = _invoice_store(n=200, horizon=30.0, seed=11)
     run = run_stream(store, PaintFactoryUseCase(), 10, seed=0)
-    codes = [r.entity_code for r in run.ledger.records]
-    assert len(codes) == len(set(codes))
+    records = run.ledger.records
+    assert len(np.unique(records["code"])) == len(records)
     # every resolved truth is the case's true duration
-    for r in run.ledger.resolved_records():
-        assert r.truth == pytest.approx(truth.durations[r.entity_code])
+    resolved = records[records["resolved"]]
+    assert len(resolved)
+    assert resolved["truth"] == pytest.approx(truth.durations[resolved["code"]])
     # same-day cases (created and received inside one step window) resolve
     same_day = np.nonzero(
         np.floor(truth.creation_times) == np.floor(truth.receipt_times)
     )[0]
-    predicted = {r.entity_code: r for r in run.ledger.records}
-    hits = [c for c in same_day if c in predicted]
-    assert hits
-    for c in hits:
-        assert predicted[c].truth is not None
+    hits = np.isin(records["code"], same_day)
+    assert hits.any()
+    assert records["resolved"][hits].all()
 
 
 def test_supermarket_resolution_uses_next_week_spend():
     store = _shopper_store(n=40, horizon=10, seed=12)
     run = run_stream(store, SupermarketUseCase(tau=3), 4, seed=2, steps=range(4, 9))
-    rec = run.ledger.resolved_records()[0]
-    expected = weekly_spend(store, np.array([rec.entity_code]), rec.step, rec.step + 1)[0]
-    assert rec.truth == pytest.approx(expected)
+    records = run.ledger.records
+    rec = records[records["resolved"]][0]
+    code, step = np.array([rec["code"]]), int(rec["step"])
+    assert rec["truth"] == pytest.approx(weekly_spend(store, code, step, step + 1)[0])
     # previous outcome is the spend over the completed week before the step
-    prev = weekly_spend(store, np.array([rec.entity_code]), rec.step - 1, rec.step)[0]
-    assert rec.previous == pytest.approx(prev)
+    assert rec["has_previous"]
+    assert rec["previous"] == pytest.approx(weekly_spend(store, code, step - 1, step)[0])
 
 
 def test_single_step_run_resolves_nothing():
@@ -254,7 +256,7 @@ def test_no_lookahead_in_predictions():
                      for f in store.event_schema},
     )
     cut = run_stream(truncated, SupermarketUseCase(tau=3), 4, seed=7, steps=steps)
-    a, b = (run.ledger.columns for run in (full, cut))
+    a, b = (run.ledger.records for run in (full, cut))
     a, b = a[a["step"] < t_last], b[b["step"] < t_last]
     assert len(a)
     for name in ("step", "code", "cluster", "size", "predicted", "previous"):
@@ -304,8 +306,8 @@ def test_random_partitioner_is_seeded():
                    partitioner="random", steps=range(4, 9))
     b = run_stream(store, SupermarketUseCase(tau=3), 5, seed=4,
                    partitioner="random", steps=range(4, 9))
-    assert len(a.ledger.columns)
-    assert a.ledger.columns.tobytes() == b.ledger.columns.tobytes()
+    assert len(a.ledger.records)
+    assert a.ledger.records.tobytes() == b.ledger.records.tobytes()
     assert a.steps == b.steps
 
 
@@ -334,6 +336,18 @@ def test_run_stream_validates_arguments():
         run_stream(store, usecase, 2, steps=[-1, 2])
 
 
+def test_run_stream_rejects_non_integer_steps():
+    store = _shopper_store(n=20, horizon=8)
+    usecase = SupermarketUseCase(tau=3)
+    for steps in ([4.5], [True, 5], [np.float64(5)], [4.5, 5.7]):
+        with pytest.raises(ValueError, match="steps"):
+            run_stream(store, usecase, 2, steps=steps)
+    for steps in (range(4, 7), [np.int64(4), np.int64(5), np.int64(6)]):
+        run = run_stream(store, usecase, 2, steps=steps)
+        assert [s.step for s in run.steps] == run.config["steps"] == [4, 5, 6]
+        assert all(type(t) is int for t in run.config["steps"])
+
+
 def test_run_result_lookup_and_config():
     store = _shopper_store(n=20, horizon=9)
     run = run_stream(store, SupermarketUseCase(tau=3), 2, seed=5, steps=range(4, 8))
@@ -347,7 +361,7 @@ def test_run_result_lookup_and_config():
 # -- ledger and metric grouping -------------------------------------------
 
 def test_ledger_resolution_paths():
-    ledger = EvaluationLedger(["a", "b", "c"])
+    ledger = EvaluationLedger()
     ledger.add_predictions(
         3, np.array([0, 1]), np.array([0, 0]), np.array([2, 2]),
         np.array([1.0, 2.0]), None,
@@ -360,7 +374,8 @@ def test_ledger_resolution_paths():
     n = ledger.resolve_step(3, lambda codes: codes.astype(float) * 10)
     assert n == 2
     assert ledger.unresolved == 1
-    assert [r.truth for r in ledger.records[:2]] == [0.0, 10.0]
+    assert ledger.records["truth"][:2].tolist() == [0.0, 10.0]
+    assert ledger.records["resolved"].tolist() == [True, True, False]
     n = ledger.resolve_entities(np.array([2]), lambda codes: np.full(len(codes), 7.0))
     assert n == 1
     assert ledger.unresolved == 0
@@ -379,8 +394,7 @@ _LEDGER_STEPS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(steps=_LEDGER_STEPS)
 def test_ledger_resolves_each_prediction_once_with_its_own_truth(mode, steps):
-    ids = [f"e{c}" for c in range(10)]
-    ledger = EvaluationLedger(ids)
+    ledger = EvaluationLedger()
     truths: list[float | None] = []   # model of every record's truth
     for t, (predicted, resolved, age, flip) in enumerate(steps):
         by_step = mode == "step" or (mode == "mixed" and flip)
@@ -393,23 +407,24 @@ def test_ledger_resolves_each_prediction_once_with_its_own_truth(mode, steps):
             step = t - age
             n = ledger.resolve_step(step, lambda c: c * 100.0 + step)
             due = [i for i, r in enumerate(ledger.records)
-                   if truths[i] is None and r.step == step]
+                   if truths[i] is None and r["step"] == step]
         else:
             n = ledger.resolve_entities(np.array(resolved, dtype=np.int64),
                                         lambda c: c * 100.0 + t)
             due = [i for i, r in enumerate(ledger.records)
-                   if truths[i] is None and r.entity_code in resolved]
+                   if truths[i] is None and r["code"] in resolved]
         assert n == len(due)
         for i in due:
             rec = ledger.records[i]
-            truths[i] = rec.entity_code * 100.0 + (rec.step if by_step else t)
-        assert [r.truth for r in ledger.records] == truths
-        assert all(r.entity_id == ids[r.entity_code] for r in ledger.records)
+            truths[i] = rec["code"] * 100.0 + (rec["step"] if by_step else t)
+        records = ledger.records
+        assert [truth if done else None for truth, done
+                in zip(records["truth"].tolist(), records["resolved"].tolist())] == truths
         assert ledger.unresolved == truths.count(None)
 
 
 def test_compute_metrics_groups_by_prediction_step():
-    ledger = EvaluationLedger(["a", "b", "c"])
+    ledger = EvaluationLedger()
     # step 5: one cluster of two entities, proxy prediction 10, truths 0 / 20
     ledger.add_predictions(
         5, np.array([0, 1]), np.array([0, 0]), np.array([2, 2]),
@@ -440,7 +455,7 @@ _MISSHAPEN = {
 @pytest.mark.parametrize("mode", ["step", "entities"])
 @pytest.mark.parametrize("bad", sorted(_MISSHAPEN))
 def test_misshapen_truths_raise_and_leave_the_ledger_unchanged(mode, bad):
-    ledger = EvaluationLedger(list("abcdefg"))
+    ledger = EvaluationLedger()
     codes = np.array([4, 5, 6])
     ledger.add_predictions(3, codes, np.zeros(3), np.ones(3), np.array([1.0, 2.0, 3.0]), None)
 
@@ -449,21 +464,35 @@ def test_misshapen_truths_raise_and_leave_the_ledger_unchanged(mode, bad):
             return ledger.resolve_step(3, truth_fn)
         return ledger.resolve_entities(codes, truth_fn)
 
-    before = ledger.records
+    before = ledger.records.copy()  # a snapshot: ``records`` is a view
     with pytest.raises(ValueError, match="shape"):
         resolve(_MISSHAPEN[bad])
-    assert ledger.records == before
+    assert ledger.records.tobytes() == before.tobytes()
     assert ledger.unresolved == 3
     # every row is still open, so a good truth_fn resolves them all
     assert resolve(lambda c: c * 10.0) == 3
-    assert [r.truth for r in ledger.records] == [40.0, 50.0, 60.0]
+    assert ledger.records["truth"].tolist() == [40.0, 50.0, 60.0]
+    assert ledger.records["resolved"].all()
     assert ledger.resolve_step(3, lambda c: c * 0.0) == 0
     assert ledger.resolve_entities(codes, lambda c: c * 0.0) == 0
 
 
-def _reference_metrics(records: list[PredictionRecord]) -> MetricReport:
+@dataclass
+class _Record:
+    """One added ledger row as the record-by-record oracle keeps it; None
+    marks a missing previous outcome or truth."""
+
+    step: int
+    entity_code: int
+    cluster_index: int
+    predicted: float
+    previous: float | None
+    truth: float | None = None
+
+
+def _reference_metrics(records: list[_Record]) -> MetricReport:
     """Record-by-record scoring: dict grouping and one np.mean per cluster."""
-    by_step: dict[int, list[PredictionRecord]] = {}
+    by_step: dict[int, list[_Record]] = {}
     for r in records:
         by_step.setdefault(r.step, []).append(r)
     report = MetricReport()
@@ -474,7 +503,7 @@ def _reference_metrics(records: list[PredictionRecord]) -> MetricReport:
             pred = np.array([r.predicted for r in recs])
             truth = np.array([r.truth for r in recs])
             values[ENTITY_RMSE] = entity_rmse(pred, truth)
-            by_cluster: dict[int, list[PredictionRecord]] = {}
+            by_cluster: dict[int, list[_Record]] = {}
             for r in recs:
                 by_cluster.setdefault(r.cluster_index, []).append(r)
             proxy_pred = []
@@ -509,8 +538,8 @@ _BLOCKS = st.lists(
        resolved_share=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
 def test_compute_metrics_equals_record_by_record_scoring(blocks, seed, resolved_share):
     rng = np.random.default_rng(seed)
-    ledger = EvaluationLedger([f"e{c}" for c in range(sum(sum(b[1]) for b in blocks))])
-    model: list[PredictionRecord] = []
+    ledger = EvaluationLedger()
+    model: list[_Record] = []
     next_code = 0
     for step, cluster_sizes, with_previous in blocks:
         labels = rng.choice(1000, size=len(cluster_sizes), replace=False)
@@ -524,8 +553,8 @@ def test_compute_metrics_equals_record_by_record_scoring(blocks, seed, resolved_
         previous = rng.normal(size=len(codes)) * scale if with_previous else None
         ledger.add_predictions(step, codes, clusters, sizes, predicted, previous)
         for i, code in enumerate(codes.tolist()):
-            model.append(PredictionRecord(
-                step, code, f"e{code}", int(clusters[i]), int(sizes[i]), float(predicted[i]),
+            model.append(_Record(
+                step, code, int(clusters[i]), float(predicted[i]),
                 None if previous is None else float(previous[i])))
     truth_of = rng.normal(size=next_code) * 10.0 ** rng.uniform(-3, 6)
     chosen = np.flatnonzero(rng.random(next_code) < resolved_share)
@@ -543,31 +572,20 @@ def test_compute_metrics_equals_record_by_record_scoring(blocks, seed, resolved_
     assert got.per_step == want.per_step
 
 
-def test_run_stream_builds_no_prediction_records(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_stream built a PredictionRecord")
-
-    shop_store = _shopper_store(n=80, horizon=12, seed=3)
-    paint_store, _ = _invoice_store(n=250, horizon=30.0, seed=4)
-    monkeypatch.setattr(pipeline, "PredictionRecord", forbidden)
+def test_records_is_the_ledger_row_buffer():
+    ledger = EvaluationLedger()
+    assert isinstance(ledger.records, np.ndarray) and len(ledger.records) == 0
+    ledger.add_predictions(3, np.array([0, 1]), np.zeros(2), np.ones(2),
+                           np.array([1.0, 2.0]), None)
+    records = ledger.records
+    assert records.dtype.names == _ROW.names
+    assert np.shares_memory(records, ledger._rows)
+    assert records["code"].tolist() == [0, 1]
     runs = [
-        (shop_store, run_stream(shop_store, SupermarketUseCase(tau=3), 4, seed=0,
-                                steps=range(4, 11))),
-        (paint_store, run_stream(paint_store, PaintFactoryUseCase(), 10, seed=0)),
+        run_stream(_shopper_store(n=80, horizon=12, seed=3), SupermarketUseCase(tau=3), 4,
+                   seed=0, steps=range(4, 11)),
+        run_stream(_invoice_store(n=250, horizon=30.0, seed=4)[0], PaintFactoryUseCase(), 10,
+                   seed=0),
     ]
-    monkeypatch.undo()
-    for store, run in runs:
-        cols = run.ledger.columns
-        rows = np.flatnonzero(cols["resolved"])
-        records = run.ledger.resolved_records()
-        assert len(records) == len(rows) > 0
-        for rec, row in zip(records, rows.tolist()):
-            assert rec.step == cols["step"][row]
-            assert rec.entity_code == cols["code"][row]
-            assert rec.entity_id == store.entity_ids[rec.entity_code]
-            assert rec.cluster_index == cols["cluster"][row]
-            assert rec.cluster_size == cols["size"][row]
-            assert rec.predicted == cols["predicted"][row]
-            assert rec.truth == cols["truth"][row]
-            want_previous = cols["previous"][row] if cols["has_previous"][row] else None
-            assert rec.previous == want_previous
+    for run in runs:
+        assert len(run.ledger.records) == sum(s.n_pred for s in run.steps if s.predicted) > 0

@@ -519,6 +519,17 @@ def test_cli_run_writes_result_files(tmp_path: Path, capsys) -> None:
     assert "supermarket_rho-2_tau-2_seed-1" in capsys.readouterr().out
 
 
+def test_cli_run_rejects_a_nan_generator_scale(tmp_path: Path, capsys) -> None:
+    cfg = write_json(tmp_path / "run.json", {
+        "use_case": "supermarket", "rho": 2, "tau": 2, "seed": 1, "t_start": 10,
+        "t_end": 13, "generator": {**tiny_generator(), "noise_scale": float("nan")},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: noise_scale must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_accepts_all_token(tmp_path: Path, capsys) -> None:
     cfg = write_json(tmp_path / "run.json", {
         "use_case": "supermarket", "rho": "all", "tau": 2, "seed": 0,
@@ -575,6 +586,25 @@ def test_cli_sweep_rejects_an_empty_list(tmp_path: Path, capsys, key) -> None:
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     assert f"{key} must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, name", [
+    ({"rhos": [1, True, 2, 2.0]}, "rho"),
+    ({"rhos": [2, 2.0]}, "rho"),
+    ({"seeds": [0, False]}, "seed"),
+    ({"taus": [3, 3.0]}, "tau"),
+], ids=["rho-bool", "rho-float", "seed-bool", "tau-float"])
+def test_cli_sweep_checks_grid_values_before_dropping_repeats(tmp_path: Path, capsys,
+                                                              grid, name) -> None:
+    cfg = write_json(tmp_path / "sweep.json", {
+        "base": {"use_case": "supermarket", "tau": 2, "t_start": 10, "t_end": 13,
+                 "generator": tiny_generator()},
+        **grid,
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {name} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

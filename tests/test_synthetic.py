@@ -8,6 +8,7 @@ import pytest
 
 from proxystream import synthetic
 from proxystream.filtering import RIR_LABEL, VCI_LABEL, filter_invoice_cases
+from proxystream.sweep import generate_from_dict
 from proxystream.synthetic import (
     SHOPPER_EVENT_SCHEMA,
     SHOPPER_LABELS,
@@ -268,6 +269,46 @@ def test_invoice_spec_validation():
                            ((0.3,) * 6, "sum to 1"), ((0.2,) * 6 + (0.0,), "length")]:
         with pytest.raises(ValueError, match=match):
             replace(archs[0], prefix_weights=weights)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("shopper", "noise_scale", float("nan")),
+    ("shopper", "noise_scale", float("inf")),
+    ("shopper", "entity_spread", float("nan")),
+    ("shopper", "seed", True),
+    ("shopper", "n_entities", True),
+    ("shopper", "n_entities", 40.0),
+    ("shopper", "horizon", 12.5),
+    ("invoice", "horizon", float("inf")),
+    ("invoice", "horizon", float("nan")),
+    ("invoice", "noise_scale", float("nan")),
+    ("invoice", "seed", True),
+    ("invoice", "n_entities", True),
+])
+def test_generator_blocks_name_a_bad_field(kind, key, value):
+    block = {"kind": kind, "n_entities": 40, "horizon": 12, "seed": 0, key: value}
+    with pytest.raises(ValueError, match=key):
+        generate_from_dict(block)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("attr_noise", float("nan")), ("attr_noise", -0.1), ("start_spread", 1.5),
+    ("start_spread", True), ("horizon", True),
+])
+def test_shopper_spec_names_a_bad_field(key, value):
+    with pytest.raises(ValueError, match=key):
+        _small_shopper_spec(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prefix_span", float("inf")), ("prefix_span", float("nan")), ("prefix_span", True),
+    ("arrival_rate", float("inf")), ("arrival_rate", float("nan")), ("n_entities", 10.0),
+])
+def test_invoice_spec_names_a_bad_field(key, value):
+    with pytest.raises(ValueError, match=key):
+        InvoiceStreamSpec(archetypes=default_invoice_archetypes(2),
+                          **{"n_entities": 10, key: value})
+
 
 
 def test_truth_tables_write_csv(tmp_path):
