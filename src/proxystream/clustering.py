@@ -10,6 +10,15 @@ kind, the bin count and Gower's categorical columns; every batch statistic
 (bin edges, numeric ranges) is taken from the rows being compared, which is
 how Gower (Biometrics 27, 1971) defines the coefficient.
 
+Gower distances come from column planes. The handler stores its kept
+numeric columns and its categorical columns column-major, so a call gathers
+each operand once, forms every numeric term |a - b| / range in one array and
+every categorical mismatch in one comparison, one plane per column of the
+block's shape. The planes are then added one at a time, numeric columns and
+then categorical ones, each in ascending column order, to a sum that starts
+at 0.0, and divided by the column count: the additions of a per-column
+loop, in its order, so every distance has that loop's bits.
+
 Assignment is incremental. The first round finds every point's nearest
 medoid in row blocks of at most ``_BATCH_LIMIT`` elements and keeps only
 that cluster and its distance per point, never the n x k matrix. A later
@@ -59,6 +68,8 @@ _KINDS = (EUCLIDEAN, BINNED, GOWER)
 # thread, medians of 3): 2^18 was best on shop-rho2 and shop-rho1024; 2^15
 # was 2% and 17% slower, 2^19 18% and 4%, and 2^21 3% and 23%, which gave
 # back 38% of the shop-rho1024 gain over 30 M-element (240 MB) blocks.
+# Gower's scratch space is (kept columns) x (block) elements, one plane per
+# column: 14 columns at the limit are 3.7 M values, 28 MiB.
 _BATCH_LIMIT = 1 << 18
 
 
@@ -168,26 +179,46 @@ class _GowerHandler:
     taken over the handler's points, and are dropped when it is zero;
     categorical and boolean dimensions contribute a 0/1 mismatch. Values land
     in [0, 1].
+
+    The columns are kept as planes: row i of ``num`` is the i-th kept numeric
+    column over all points and row j of ``cat`` the j-th categorical one, so
+    a call gathers each operand once, for every column.
     """
 
     def __init__(self, points: np.ndarray, mask: np.ndarray) -> None:
-        self.points = np.asarray(points, dtype=float)
-        self.cat_cols = np.nonzero(mask)[0]
+        points = np.asarray(points, dtype=float)
         num = np.nonzero(~mask)[0]
-        ranges = self.points[:, num].max(axis=0) - self.points[:, num].min(axis=0)
+        ranges = points[:, num].max(axis=0) - points[:, num].min(axis=0)
         keep = ranges > 0
-        self.num_cols = num[keep]
-        self.num_ranges = ranges[keep]
-        self.denom = max(len(self.cat_cols) + len(self.num_cols), 1)
+        self.num = np.ascontiguousarray(points[:, num[keep]].T)
+        self.ranges = ranges[keep]
+        self.cat = np.ascontiguousarray(points[:, mask].T)
+        self.denom = max(len(self.num) + len(self.cat), 1)
 
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances between index sets, broadcast over leading axes."""
-        a, b = self.points[rows], self.points[cols]
-        out = np.zeros((*a.shape[:-1], b.shape[-2]))
-        for col, rng in zip(self.num_cols, self.num_ranges):
-            out += np.abs(a[..., col, None] - b[..., None, :, col]) / rng
-        for col in self.cat_cols:
-            out += a[..., col, None] != b[..., None, :, col]
+        """Distances between index sets, broadcast over leading axes.
+
+        Each kept column fills one plane of the output's shape: the numeric
+        terms first, then the categorical mismatches as 0.0 or 1.0, each in
+        ascending column order. The planes are added one at a time to a sum
+        that starts at 0.0, the order of Gower's per-column mean. Adding them
+        with ``np.add.reduce`` over the plane axis would not keep it: numpy
+        sums a one-element block pairwise.
+        """
+        a = self.num[:, rows]
+        b = a if cols is rows else self.num[:, cols]
+        n = len(self.num)
+        planes = np.empty((n + len(self.cat), *a.shape[1:], b.shape[-1]))
+        terms = planes[:n]
+        np.subtract(a[..., :, None], b[..., None, :], out=terms)
+        np.abs(terms, out=terms)
+        terms /= self.ranges.reshape(-1, *(1,) * (terms.ndim - 1))
+        a = self.cat[:, rows]
+        b = a if cols is rows else self.cat[:, cols]
+        np.not_equal(a[..., :, None], b[..., None, :], out=planes[n:])
+        out = np.zeros(planes.shape[1:])
+        for plane in planes:
+            out += plane
         out /= self.denom
         return out
 

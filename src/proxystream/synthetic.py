@@ -72,8 +72,7 @@ class ShopperArchetype:
     label_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.visits_per_week < 1:
-            raise ValueError("visits_per_week must be >= 1")
+        check_int("visits_per_week", self.visits_per_week, 1)
         total = sum(self.label_weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"label weights must sum to 1, got {total}")
@@ -127,6 +126,7 @@ class ShopperTruth:
 
 def default_shopper_archetypes(n_archetypes: int) -> tuple[ShopperArchetype, ...]:
     """Evenly spread spend lines with one preferred department each."""
+    check_int("n_archetypes", n_archetypes, 1)
     slopes = (-0.6, 0.3, 0.0, -0.3, 0.6)
     visits = (1, 2, 4, 2, 1)
     n_labels = len(SHOPPER_LABELS)
@@ -361,8 +361,9 @@ class InvoiceStreamSpec:
         check_finite("noise_scale", self.noise_scale, positive=False)
         check_finite("horizon", self.horizon, positive=True)
         check_finite("prefix_span", self.prefix_span, positive=True)
-        if not 0.0 <= self.attribute_purity <= 1.0:
-            raise ValueError("attribute_purity must be in [0, 1]")
+        check_finite("attribute_purity", self.attribute_purity, positive=False)
+        if self.attribute_purity > 1:
+            raise ValueError(f"attribute_purity must be at most 1, got {self.attribute_purity!r}")
         if not self.archetypes:
             raise ValueError("need at least one archetype")
 
@@ -396,6 +397,7 @@ class InvoiceTruth:
 
 def default_invoice_archetypes(n_archetypes: int) -> tuple[InvoiceArchetype, ...]:
     """Duration levels spread over [3, 15] days with distinct attribute habits."""
+    check_int("n_archetypes", n_archetypes, 1)
     cats = invoice_category_lists()
     means = np.linspace(3.0, 15.0, n_archetypes)
     n_prefix = len(INVOICE_PREFIX_LABELS)

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxystream import clustering
@@ -129,6 +129,83 @@ def test_distance_validates_inputs():
             DistanceSpec(BINNED, n_bins=n_bins)
     with pytest.raises(ValueError):
         cross_distances(np.zeros((1, 2)), np.zeros((1, 2)), gower_spec([False]))
+
+
+def _gower_column_loop(points, mask, rows, cols):
+    """Gower distances one column at a time, numeric columns then categorical
+    ones, each added to a sum that starts at 0.0: the oracle for the bits of
+    ``_GowerHandler.cross``."""
+    num = np.nonzero(~mask)[0]
+    ranges = points[:, num].max(axis=0) - points[:, num].min(axis=0)
+    keep = ranges > 0
+    cat_cols = np.nonzero(mask)[0]
+    a, b = points[rows], points[cols]
+    out = np.zeros((*a.shape[:-1], b.shape[-2]))
+    for col, rng in zip(num[keep], ranges[keep]):
+        out += np.abs(a[..., col, None] - b[..., None, :, col]) / rng
+    for col in cat_cols:
+        out += a[..., col, None] != b[..., None, :, col]
+    out /= max(len(cat_cols) + int(keep.sum()), 1)
+    return out
+
+
+@st.composite
+def _gower_matrices(draw):
+    """Mixed rows whose numeric cells carry full 53-bit fractions, so a sum
+    in another order rounds differently; some columns are constant (zero
+    range) and some cells NaN or infinite."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 14))
+    kinds = draw(st.sampled_from(["mixed", "numeric", "categorical"]))
+    if kinds == "mixed":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    else:
+        mask = np.full(d, kinds == "categorical")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.where(mask, rng.integers(0, 3, (n, d)), rng.normal(size=(n, d)) * 10.0)
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    pts[:, constant] = pts[0, constant]
+    special = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if special is not None:
+        pts[rng.random((n, d)) < 0.2] = special
+    return pts, mask
+
+
+def _gower_example(n, n_num, n_cat, seed, constant=False):
+    rng = np.random.default_rng(seed)
+    num = np.ones((n, n_num)) if constant else rng.normal(size=(n, n_num)) * 10.0
+    pts = np.column_stack([num, rng.integers(0, 3, (n, n_cat))])
+    return pts, np.array([False] * n_num + [True] * n_cat)
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=_gower_example(7, 10, 3, seed=1))       # 1x1 blocks of 13 columns
+@example(case=_gower_example(5, 4, 0, seed=2))        # all numeric
+@example(case=_gower_example(5, 0, 4, seed=3))        # all categorical
+@example(case=_gower_example(4, 3, 0, seed=4, constant=True))  # no kept column
+@example(case=(np.array([[1.0, np.nan, 0.0], [np.inf, 2.0, np.nan], [3.0, 2.0, 1.0]]),
+               np.array([False, False, True])))      # NaN and infinite cells
+@given(case=_gower_matrices())
+def test_gower_cross_matches_the_column_loop(case):
+    # by bytes and shape: 1-D and stacked (g, s) blocks, with ``cols is
+    # rows`` and without, down to every single pair as its own 1x1 block
+    pts, mask = case
+    n = len(pts)
+    idx = np.arange(n)
+    blocks = [(idx, idx), (idx, idx[::-1].copy()), (slice(None), idx[::-1].copy())]
+    blocks += [(idx[i:i + 1], idx[j:j + 1]) for i in range(n) for j in range(n)]
+    blocks += [(idx[i:i + 1, None], idx[j:j + 1, None]) for i in range(n) for j in range(n)]
+    for s in range(1, n + 1):
+        members = idx[:n - n % s].reshape(-1, s)
+        blocks += [(members, members), (members, members[:, ::-1].copy()),
+                   (members, members[:, :1].copy())]
+    with np.errstate(invalid="ignore"):  # inf - inf in a numeric column
+        handler = clustering._handler(pts, gower_spec(mask))
+        results = [(handler.cross(rows, cols), _gower_column_loop(pts, mask, rows, cols))
+                   for rows, cols in blocks]
+    for (rows, cols), (got, want) in zip(blocks, results):
+        assert got.shape == want.shape, (rows, cols)
+        assert got.tobytes() == want.tobytes(), (rows, cols)
 
 
 # -- k-medoids -------------------------------------------------------------

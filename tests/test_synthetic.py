@@ -284,6 +284,10 @@ def test_invoice_spec_validation():
     ("invoice", "noise_scale", float("nan")),
     ("invoice", "seed", True),
     ("invoice", "n_entities", True),
+    ("shopper", "n_archetypes", True),
+    ("shopper", "n_archetypes", 2.5),
+    ("invoice", "n_archetypes", True),
+    ("invoice", "n_archetypes", 2.5),
 ])
 def test_generator_blocks_name_a_bad_field(kind, key, value):
     block = {"kind": kind, "n_entities": 40, "horizon": 12, "seed": 0, key: value}
@@ -303,12 +307,19 @@ def test_shopper_spec_names_a_bad_field(key, value):
 @pytest.mark.parametrize("key, value", [
     ("prefix_span", float("inf")), ("prefix_span", float("nan")), ("prefix_span", True),
     ("arrival_rate", float("inf")), ("arrival_rate", float("nan")), ("n_entities", 10.0),
+    ("attribute_purity", True), ("attribute_purity", float("nan")),
+    ("attribute_purity", 1.5), ("attribute_purity", -0.1),
 ])
 def test_invoice_spec_names_a_bad_field(key, value):
     with pytest.raises(ValueError, match=key):
         InvoiceStreamSpec(archetypes=default_invoice_archetypes(2),
                           **{"n_entities": 10, key: value})
 
+
+@pytest.mark.parametrize("value", [1.5, True, 0, np.float64(2.0)])
+def test_shopper_archetype_names_a_bad_visit_count(value):
+    with pytest.raises(ValueError, match="visits_per_week"):
+        ShopperArchetype("bad", 10.0, 0.0, value, 0.5, 1.0, 4.0, tuple([1 / 8] * 8))
 
 
 def test_truth_tables_write_csv(tmp_path):
