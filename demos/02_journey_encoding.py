@@ -53,7 +53,7 @@ print(f"\nmodel feature width: {flat.shape[1]} = {len(rows)} rows x {tau} weeks"
 # intercept and residual. Three numbers per row capture level, trend and
 # noisiness without growing with tau.
 
-slope, intercept, residual = np.split(linear_fit_batch(journeys[0])[0], 3)
+slope, intercept, residual = np.split(linear_fit_batch(journeys[:1])[0], 3)
 print("\nshopper 0 line fits (slope, intercept, residual):")
 for index, name in enumerate(rows[:6]):
     print(f"  {name:<{name_width}} "

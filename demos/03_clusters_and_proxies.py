@@ -50,7 +50,7 @@ for rho in (2, 8, 32):
 part = k_medoids(cluster_x, cluster_count(len(codes), 32), seed=0)
 purities = []
 for cluster in range(part.k):
-    members = part.cluster_members(cluster)
+    members = np.flatnonzero(part.assignment == cluster)
     archetype_counts = np.bincount(truth.archetypes[members])
     purities.append(archetype_counts.max() / len(members))
 print(f"\nrho=32 cluster purity (dominant archetype share): "
@@ -62,7 +62,7 @@ print(f"\nrho=32 cluster purity (dominant archetype share): "
 
 weekly_spend = model_x[:, 3 * 3]  # the total_value_sum row, first week column
 cluster_ids, proxy_x, proxy_y, counts = proxy_matrices(part, model_x, weekly_spend)
-members = part.cluster_members(int(cluster_ids[0]))
+members = np.flatnonzero(part.assignment == cluster_ids[0])
 by_hand = model_x[members].mean(axis=0)
 print(f"\nproxy 0 averages {int(counts[0])} members; "
       f"max |proxy - hand mean| = "

@@ -43,7 +43,9 @@ that size are stacked up to the limit per block.
 Determinism contract: identical inputs and seed give identical partitions.
 Ties in assignment go to the lowest cluster index, ties in the medoid update
 to the lowest member index, and the k == n and k == 1 paths never draw from
-the RNG.
+the RNG. At k == n, point i is cluster i for every distance kind, and
+``random_partition`` gives the same identity, so ``rho = 1`` is the
+per-entity path whichever kind and partitioner a run uses.
 """
 from __future__ import annotations
 
@@ -357,9 +359,6 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
 
-    def cluster_members(self, cluster: int) -> np.ndarray:
-        return np.nonzero(self.assignment == cluster)[0]
-
 
 def cluster_count(n_entities: int, rho: int) -> int:
     """Number of clusters for a batch: ceil(n / rho)."""
@@ -373,10 +372,13 @@ def cluster_count(n_entities: int, rho: int) -> int:
 def random_partition(n_points: int, k: int,
                      seed: int | np.random.SeedSequence | np.random.Generator = 0) -> Partition:
     """Uniform assignment with one anchor point per cluster, so no cluster
-    is empty by construction. No medoids."""
+    is empty by construction. No medoids. At k == n_points every point is
+    its own cluster, in index order, and nothing is drawn."""
     check_int("k", k, 1)
     if k > n_points:
         raise ValueError(f"need 1 <= k <= n_points, got k={k}, n={n_points}")
+    if k == n_points:
+        return Partition(n_points=n_points, k=k, assignment=np.arange(k, dtype=np.int64))
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, k, n_points)
     anchors = rng.choice(n_points, size=k, replace=False)
@@ -411,8 +413,10 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     bin-center representative are collapsed into one weighted point first;
     distances and costs are then measured between representatives. If fewer
     distinct representatives than k exist, the uncollapsed
-    representative-valued points are clustered instead. The k == n and
-    k == 1 paths are deterministic and draw nothing from the RNG.
+    representative-valued points are clustered instead. At k == n every
+    point is its own cluster, numbered in index order (or in
+    ``init_medoids`` order), for every distance kind. The k == n and k == 1
+    paths are deterministic and draw nothing from the RNG.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -435,6 +439,8 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
             raise ValueError("init_medoids must be k distinct indices into points")
 
     spec = spec or euclidean_spec()
+    if k == n:
+        return _singleton_partition(n, init_medoids)
 
     # binned kind: collapse duplicate representatives into weighted points,
     # each standing for its first member

@@ -49,22 +49,13 @@ def encode_journeys(store: EventStore, entity_codes: np.ndarray,
     n_labels = len(store.alphabet)
     rows = journey_row_count(n_labels)
     out = np.zeros((m, rows, n_weeks))
-    if m == 0:
-        return out
 
     start = window_end - n_weeks
     lo = int(np.searchsorted(store.times, start, side="left"))
     hi = int(np.searchsorted(store.times, window_end, side="left"))
-    if lo == hi:
-        return out
-
     pos = np.full(store.entity_count, -1, dtype=np.int64)
     pos[entity_codes] = np.arange(m)
-    ents = store.entity_codes[lo:hi]
-    keep = pos[ents] >= 0
-    if not keep.any():
-        return out
-
+    keep = pos[store.entity_codes[lo:hi]] >= 0
     idx = np.nonzero(keep)[0] + lo
     week = np.floor(store.times[idx] - start).astype(np.int64)
     key = pos[store.entity_codes[idx]] * n_weeks + week
@@ -107,10 +98,11 @@ def weekly_spend(store: EventStore, entity_codes: np.ndarray,
 # -- linear-fit summaries --------------------------------------------------
 
 def linear_fit_batch(matrices: np.ndarray) -> np.ndarray:
-    """Fit each row of each matrix; returns (m, 3F) as [slopes|intercepts|residuals]."""
+    """Fit each row of each of a (batch, rows, weeks) array of matrices;
+    returns (batch, 3 * rows) as [slopes|intercepts|residuals]."""
     matrices = np.asarray(matrices, dtype=float)
-    if matrices.ndim == 2:
-        matrices = matrices[None]
+    if matrices.ndim != 3:
+        raise ValueError(f"expected a (batch, rows, weeks) array, got shape {matrices.shape}")
     n_weeks = matrices.shape[2]
     if n_weeks < 2:
         raise ValueError("need at least two week columns to fit a line")

@@ -1,4 +1,4 @@
-"""Core event-stream model: attribute fields, frozen stores, time windows, label frequencies.
+"""Core event-stream model: attribute fields, frozen stores, time windows.
 
 An :class:`EventStore` is a time-ordered, immutable collection of events over a
 fixed activity alphabet, with optional per-event and per-entity attribute
@@ -87,9 +87,6 @@ class TimeWindow:
         if not self.start < self.end:
             raise ValueError(f"window start must precede end, got [{self.start}, {self.end})")
 
-    def contains(self, t: float) -> bool:
-        return self.start <= t < self.end
-
 
 class EventStore:
     """Frozen event collection with columnar access.
@@ -99,11 +96,12 @@ class EventStore:
     column per declared event attribute (one value per event) and per declared
     entity attribute (one value per entity id). The columns are copied and
     stably sorted by time (equal timestamps keep input order), and the store
-    is immutable afterwards. Entity codes are kept as given; the CSV loader
-    numbers entities by first appearance in time. ``time_origin`` tags the
-    meaning of the time axis: ``"epoch_days"`` for absolute calendar time
-    (days since the Unix epoch, UTC), ``None`` for relative step counts as
-    produced by the synthetic generators.
+    is immutable afterwards; ``entity_ids`` is kept as one tuple, so
+    ``store.entity_ids[code]`` is a plain lookup. Entity codes are kept as
+    given; the CSV loader numbers entities by first appearance in time.
+    ``time_origin`` tags the meaning of the time axis: ``"epoch_days"`` for
+    absolute calendar time (days since the Unix epoch, UTC), ``None`` for
+    relative step counts as produced by the synthetic generators.
     """
 
     def __init__(
@@ -123,7 +121,7 @@ class EventStore:
         times = np.asarray(times, dtype=float)
         ent_codes = np.asarray(entity_codes, dtype=np.int64)
         act_codes = np.asarray(activity_codes, dtype=np.int64)
-        self._entity_ids = list(entity_ids)
+        self._entity_ids = tuple(entity_ids)
         self._alphabet = tuple(alphabet)
         self._event_schema = tuple(event_schema)
         self._entity_schema = tuple(entity_schema)
@@ -172,8 +170,8 @@ class EventStore:
         return self._entity_schema
 
     @property
-    def entity_ids(self) -> list[Any]:
-        return list(self._entity_ids)
+    def entity_ids(self) -> tuple[Any, ...]:
+        return self._entity_ids
 
     @property
     def entity_count(self) -> int:
@@ -236,16 +234,3 @@ def _attribute_columns(kind: str, schema: tuple[AttributeField, ...],
         out[name] = col[rows]
     return out
 
-
-def frequencies_from_codes(codes: np.ndarray, n_labels: int) -> np.ndarray:
-    """Relative frequency of each of ``n_labels`` activity codes.
-
-    Components sum to 1 for non-empty input; no codes map to the all-zeros
-    vector. A code outside [0, n_labels) raises :class:`SchemaError`.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >= n_labels):
-        raise SchemaError(f"activity code out of range for {n_labels} labels")
-    counts = np.bincount(codes, minlength=n_labels).astype(float)
-    total = counts.sum()
-    return counts / total if total else counts

@@ -253,13 +253,3 @@ def _format_value(field_: AttributeField, stored: float) -> str:
         return "true" if decoded else "false"
     return str(decoded)
 
-
-def schema_for_store(store: EventStore) -> LogSchema:
-    """Schema that reads back what :func:`write_event_log` produced."""
-    def specs(fields: Sequence[AttributeField]) -> tuple[ColumnSpec, ...]:
-        return tuple(ColumnSpec(f.name, f.kind, f.categories if f.kind == CATEGORICAL else None)
-                     for f in fields)
-
-    return LogSchema(time_format="iso8601" if store.time_origin == "epoch_days" else "number",
-                     event_attributes=specs(store.event_schema),
-                     entity_attributes=specs(store.entity_schema), alphabet=store.alphabet)

@@ -66,8 +66,6 @@ def init_model(spec: ModelSpec, input_width: int, seed: SeedLike = 0):
 
 def _check_batch(x: np.ndarray, y: np.ndarray | None, width: int):
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"expected rows of width {width}, got shape {x.shape}")
     if y is None:
@@ -174,12 +172,6 @@ class OnlineMLP:
                 self.b_out -= lr * grads["b_out"]
         self.n_updates += 1
         self.n_rows += len(x)
-
-    def sample_loss(self, x: np.ndarray, y: float) -> float:
-        """Squared-error loss of one sample under the current parameters."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        pred = float(self._forward(x[None, :])[0])
-        return 0.5 * (pred - y) ** 2
 
     def gradients(self, x: np.ndarray, y: float) -> dict[str, np.ndarray | float]:
         """Analytic loss gradients for one sample, keyed by parameter name."""

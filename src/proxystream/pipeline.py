@@ -11,8 +11,9 @@ prediction, keyed by entity code (the id is ``store.entity_ids[code]``).
 Determinism: every random draw comes from a purpose-tagged
 ``SeedSequence(seed, spawn_key=...)``, so clustering draws cannot perturb
 model draws, and runs with identical inputs are identical. At rho = 1 each
-entity is its own cluster (no RNG), so every proxy is its entity's row and
-the loop is the per-entity path.
+entity is its own cluster, numbered in batch order with no RNG draw, for
+every distance kind and both partitioners, so every proxy is its entity's
+row in the entity's place and the loop is the per-entity path.
 """
 from __future__ import annotations
 

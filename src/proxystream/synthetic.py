@@ -48,6 +48,9 @@ INVOICE_PREFIX_LABELS = (
     "Record goods receipt",
 )
 
+# prefix events fall up to this many days before their case's creation
+PREFIX_SPAN_DAYS = 10.0
+
 
 def shopper_log_schema() -> LogSchema:
     """CSV layout matching :func:`generate_shopper_stream` output."""
@@ -343,24 +346,17 @@ class InvoiceArchetype:
 @dataclass(frozen=True)
 class InvoiceStreamSpec:
     archetypes: tuple[InvoiceArchetype, ...]
-    n_entities: int = 0
+    n_entities: int
     horizon: float = 60.0
     noise_scale: float = 1.0
     attribute_purity: float = 0.9
-    arrival_rate: float | None = None   # invoices per day; overrides n_entities
-    prefix_span: float = 10.0           # prefix events fall this many days before creation
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int("n_entities", self.n_entities, 0)
+        check_int("n_entities", self.n_entities, 1)
         check_int("seed", self.seed, 0)
-        if self.arrival_rate is None and self.n_entities < 1:
-            raise ValueError("need n_entities or arrival_rate")
-        if self.arrival_rate is not None:
-            check_finite("arrival_rate", self.arrival_rate, positive=True)
         check_finite("noise_scale", self.noise_scale, positive=False)
         check_finite("horizon", self.horizon, positive=True)
-        check_finite("prefix_span", self.prefix_span, positive=True)
         check_finite("attribute_purity", self.attribute_purity, positive=False)
         if self.attribute_purity > 1:
             raise ValueError(f"attribute_purity must be at most 1, got {self.attribute_purity!r}")
@@ -442,12 +438,7 @@ def generate_invoice_stream(spec: InvoiceStreamSpec) -> tuple[EventStore, Invoic
     """
     rng = np.random.default_rng(spec.seed)
     n_arch = len(spec.archetypes)
-    if spec.arrival_rate is not None:
-        n = int(rng.poisson(spec.arrival_rate * spec.horizon))
-        if n == 0:
-            raise ValueError("arrival_rate too low: no invoices drawn")
-    else:
-        n = spec.n_entities
+    n = spec.n_entities
 
     arch = rng.integers(0, n_arch, n)
     creation = rng.uniform(0.0, spec.horizon, n)
@@ -459,7 +450,7 @@ def generate_invoice_stream(spec: InvoiceStreamSpec) -> tuple[EventStore, Invoic
     counts = prefix_len[arch]
     total = int(counts.sum())
     ent_of_prefix = np.repeat(np.arange(n), counts)
-    lags = rng.uniform(0.01, spec.prefix_span, total)
+    lags = rng.uniform(0.01, PREFIX_SPAN_DAYS, total)
     prefix_times = np.maximum(creation[ent_of_prefix] - lags, 0.0)
 
     prefix_cdf = np.cumsum(np.array([a.prefix_weights for a in spec.archetypes]), axis=1)

@@ -6,8 +6,9 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from proxystream.events import EventStore
-from proxystream.models import ModelSpec, init_model
+from proxystream.events import CATEGORICAL, EventStore
+from proxystream.logio import ColumnSpec, LogSchema
+from proxystream.models import ModelSpec, OnlineMLP, init_model
 
 
 @dataclass(frozen=True)
@@ -62,3 +63,22 @@ def per_entity_predictions(store, usecase, spec: ModelSpec, seed: int,
         if len(pred_codes) and model.n_updates:
             out[t] = pred_codes, model.predict(ctx.encode_batch(pred_codes, t)[0])
     return out
+
+
+def schema_for_store(store: EventStore) -> LogSchema:
+    """Schema that reads back what ``write_event_log`` produced from ``store``."""
+    def specs(fields) -> tuple[ColumnSpec, ...]:
+        return tuple(ColumnSpec(f.name, f.kind, f.categories if f.kind == CATEGORICAL else None)
+                     for f in fields)
+
+    return LogSchema(time_format="iso8601" if store.time_origin == "epoch_days" else "number",
+                     event_attributes=specs(store.event_schema),
+                     entity_attributes=specs(store.entity_schema), alphabet=store.alphabet)
+
+
+def sample_loss(model: OnlineMLP, x: np.ndarray, y: float) -> float:
+    """Squared-error loss 0.5 (yhat - y)^2 of one sample under the model's
+    current weights, computed here from those weights: the finite-difference
+    oracle for ``OnlineMLP.gradients``."""
+    h = np.tanh(model.w_hidden @ np.asarray(x, dtype=float) + model.b_hidden)
+    return 0.5 * (float(h @ model.w_out + model.b_out) - y) ** 2

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import per_entity_predictions
+from conftest import per_entity_predictions, sample_loss
 from proxystream import pipeline
 from proxystream.clustering import (
     BINNED,
@@ -379,7 +379,7 @@ def _mlp_gradient_gap(rng: np.random.Generator) -> float:
                 bumped[index] += delta
                 setattr(model, name, bumped.reshape(np.shape(param))
                         if np.ndim(param) else float(bumped[0]))
-                loss = model.sample_loss(sample, target)
+                loss = sample_loss(model, sample, target)
                 setattr(model, name, param)
                 return loss
 

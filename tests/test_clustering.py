@@ -256,6 +256,21 @@ def test_k_equals_n_gives_singletons_without_rng():
     assert part.cost_history == [0.0]
 
 
+@pytest.mark.parametrize("spec", [binned_spec(4), gower_spec([False, False, True])],
+                         ids=["binned", "gower"])
+def test_k_equals_n_is_the_identity_for_every_kind(spec):
+    # binned representatives sort in another order than the points, which
+    # must not renumber the singleton clusters
+    pts = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 3.0, 0.0]])
+    part = k_medoids(pts, 4, spec, seed=5)
+    assert np.array_equal(part.assignment, np.arange(4))
+    assert np.array_equal(part.medoids, np.arange(4))
+    init = np.array([2, 0, 3, 1])
+    part = k_medoids(pts, 4, spec, init_medoids=init)
+    assert np.array_equal(part.medoids, init)
+    assert np.array_equal(part.assignment[init], np.arange(4))
+
+
 def test_k_equals_one_matches_brute_force_without_rng():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(20, 4))
@@ -891,6 +906,16 @@ def test_random_partition_k1_is_all_zero():
     assert np.array_equal(part.assignment, np.zeros(17, dtype=int))
 
 
+def test_random_partition_k_equals_n_is_the_identity_without_rng():
+    gen = np.random.default_rng(42)
+    before = gen.bit_generator.state
+    part = random_partition(9, 9, seed=gen)
+    assert gen.bit_generator.state == before
+    part.validate()
+    assert np.array_equal(part.assignment, np.arange(9))
+    assert part.medoids is None
+
+
 def test_random_partition_sizes_are_balanced_in_expectation():
     part = random_partition(10000, 10, seed=0)
     part.validate()
@@ -914,6 +939,26 @@ def test_random_partition_determinism_and_validation():
     for k in (4, 0, 2.5):
         with pytest.raises(ValueError):
             random_partition(3, k)
+
+
+@pytest.mark.parametrize("part, message", [
+    (Partition(3, 2, np.array([0, 1])), "assignment shape"),
+    (Partition(3, 2, np.array([0, 1, 2])), "cluster index out of range"),
+    (Partition(3, 3, np.array([0, 1, 1])), "empty cluster"),
+    (Partition(3, 2, np.array([0, 1, 1]), medoids=np.array([1, 1])), "k distinct"),
+    (Partition(3, 2, np.array([0, 1, 1]), medoids=np.array([0, 3])), "medoid index out of range"),
+    (Partition(3, 2, np.array([0, 1, 1]), medoids=np.array([1, 2])), "not a member"),
+], ids=["shape", "cluster_range", "empty", "duplicate_medoid", "medoid_range", "foreign_medoid"])
+def test_partition_validate_rejects_each_broken_law(part, message):
+    Partition(3, 2, np.array([0, 1, 1]), medoids=np.array([0, 1])).validate()
+    with pytest.raises(ValueError, match=message):
+        part.validate()
+
+
+def test_medoid_update_rejects_an_empty_cluster():
+    handler = clustering._EuclideanHandler(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError, match="empty cluster in medoid update"):
+        clustering._medoid_update(handler, np.array([0, 0, 2]), 3, np.ones(3))
 
 
 # -- proxies ---------------------------------------------------------------
@@ -965,7 +1010,7 @@ def test_proxy_means_match_numpy_means():
         part = random_partition(n, k, seed=int(rng.integers(1 << 30)))
         ids, px, py, counts = proxy_matrices(part, feats, outs)
         for row, c in enumerate(ids):
-            members = part.cluster_members(int(c))
+            members = np.flatnonzero(part.assignment == c)
             assert np.allclose(px[row], feats[members].mean(axis=0), atol=1e-12)
             assert py[row] == pytest.approx(outs[members].mean(), abs=1e-12)
             assert counts[row] == len(members)

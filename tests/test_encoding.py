@@ -50,7 +50,7 @@ def _journey(store: EventStore, entity_id, window_end: float, n_weeks: int) -> n
 
 def _fit(matrix: np.ndarray):
     """(slope, intercept, residual) rows of one matrix from the batch fit."""
-    return np.split(linear_fit_batch(matrix)[0], 3)
+    return np.split(linear_fit_batch(matrix[None])[0], 3)
 
 
 # -- journey matrices ------------------------------------------------------
@@ -120,6 +120,21 @@ def test_batch_matches_single_and_ignores_other_entities():
     assert empty.shape == (0, 9, 2)
 
 
+@pytest.mark.parametrize("codes, window_end", [
+    ([0, 1], 10.0),   # the window holds no event at all
+    ([0], 4.0),       # the window holds only another entity's event
+    ([], 4.0),        # an empty batch
+], ids=["empty_window", "no_batch_event", "empty_batch"])
+def test_windows_without_batch_events_encode_to_zeros(codes, window_end):
+    store = _shopper_store([
+        _visit("a", "dairy", 0.2, 0.5, 2.0, 1.0, 20.0, 10.0),
+        _visit("b", "bakery", 3.5, 0.1, 1.0, 1.0, 5.0, 5.0),
+    ])
+    got = encode_journeys(store, np.array(codes, dtype=np.int64), window_end, 2)
+    assert got.tobytes() == np.zeros((len(codes), 9, 2)).tobytes()
+    assert got.shape == (len(codes), 9, 2)
+
+
 def test_encode_journeys_rejects_empty_window():
     store = _shopper_store([_visit("a", "dairy", 0.2, 0.5, 2.0, 1.0, 20.0, 10.0)])
     with pytest.raises(ValueError):
@@ -160,8 +175,8 @@ def test_linear_fit_batch_layout_and_consistency():
     flat = linear_fit_batch(mats)
     assert flat.shape == (4, 18)
     for i in range(4):
-        # a 2d matrix is fitted as a batch of one, with the same layout
-        single = linear_fit_batch(mats[i])
+        # a batch of one has the same layout
+        single = linear_fit_batch(mats[i:i + 1])
         assert single.shape == (1, 18)
         assert np.allclose(flat[i], single[0], atol=1e-12)
         slope, intercept, residual = _fit(mats[i])
@@ -184,8 +199,14 @@ def test_linear_fit_is_least_squares():
 
 
 def test_linear_fit_needs_two_columns():
-    with pytest.raises(ValueError):
-        linear_fit_batch(np.ones((3, 1)))
+    with pytest.raises(ValueError, match="two week columns"):
+        linear_fit_batch(np.ones((1, 3, 1)))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 5), (1, 2, 3, 5)], ids=["row", "matrix", "4d"])
+def test_linear_fit_takes_only_a_batch_of_matrices(shape):
+    with pytest.raises(ValueError, match=r"\(batch, rows, weeks\)"):
+        linear_fit_batch(np.ones(shape))
 
 
 def test_standardize_columns():

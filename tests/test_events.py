@@ -1,4 +1,4 @@
-"""Event model: attribute fields, windows, frozen stores, frequencies."""
+"""Event model: attribute fields, windows, frozen stores."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,8 +13,8 @@ from proxystream.events import (
     EventStore,
     SchemaError,
     TimeWindow,
-    frequencies_from_codes,
 )
+from proxystream.filtering import RIR_LABEL, VCI_LABEL, filter_invoice_cases
 
 
 # -- attribute fields ------------------------------------------------------
@@ -55,11 +55,14 @@ def test_attribute_field_rejects_bad_values():
 # -- time windows ----------------------------------------------------------
 
 def test_window_is_half_open():
-    w = TimeWindow(1.0, 2.0)
-    assert w.contains(1.0)
-    assert w.contains(1.9)
-    assert not w.contains(2.0)
-    assert not w.contains(0.999)
+    # a window's one reader is the invoice filter's date rule: a case's
+    # events must all lie in [start, end)
+    cases = {"at_start": (1.0, 1.5), "inside": (1.2, 1.9),
+             "at_end": (1.5, 2.0), "before": (0.999, 1.5)}
+    store = store_from_events([Event(cid, label, t) for cid, times in cases.items()
+                               for label, t in zip((VCI_LABEL, RIR_LABEL), times)])
+    kept, _ = filter_invoice_cases(store, date_window=TimeWindow(1.0, 2.0))
+    assert kept.entity_ids == ("at_start", "inside")
 
 
 def test_window_requires_positive_length():
@@ -109,7 +112,7 @@ def test_store_sort_is_stable():
 
 def test_entity_codes_are_kept_as_given():
     store = EventStore([1.0, 0.0], [0, 1], [0, 0], ["late", "early"], ("visit",))
-    assert store.entity_ids == ["late", "early"]
+    assert store.entity_ids == ("late", "early")
     assert np.array_equal(store.entity_codes, [1, 0])
     assert store.entity_code("early") == 1
     with pytest.raises(KeyError):
@@ -217,30 +220,3 @@ def test_empty_store():
     assert store.entity_count == 0
     assert list(np.searchsorted(store.times, (0.0, 1.0))) == [0, 0]
 
-
-# -- activity frequencies --------------------------------------------------
-
-def test_activity_frequencies_fixture():
-    got = frequencies_from_codes(np.array([0, 0, 1]), 3)
-    assert np.allclose(got, [2 / 3, 1 / 3, 0.0])
-    assert got.sum() == pytest.approx(1.0)
-
-
-def test_activity_frequencies_empty_is_zero():
-    assert np.array_equal(frequencies_from_codes(np.array([], dtype=int), 2), [0.0, 0.0])
-
-
-def test_activity_frequencies_rejects_unknown_label():
-    for code in (-1, 2):
-        with pytest.raises(SchemaError):
-            frequencies_from_codes(np.array([0, code]), 2)
-
-
-def test_frequencies_sum_to_one():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        codes = rng.integers(0, 5, rng.integers(1, 40))
-        freq = frequencies_from_codes(codes, 5)
-        assert freq.sum() == pytest.approx(1.0)
-        assert (freq >= 0).all()
-        assert np.allclose(freq, np.bincount(codes, minlength=5) / len(codes))

@@ -48,7 +48,7 @@ def test_five_case_fixture_keeps_three():
     filtered, report = filter_invoice_cases(_five_case_store())
     assert report.cases_in == 5
     assert report.cases_kept == 3
-    assert filtered.entity_ids == ["keep1", "keep2", "keep3"]
+    assert filtered.entity_ids == ("keep1", "keep2", "keep3")
     assert report.cases_dropped_by_rule == {
         RULE_MULTIPLICITY: 1,
         RULE_ORDER: 1,
@@ -103,7 +103,7 @@ def test_date_window_defaults_to_2018_for_absolute_stores():
     )
     store = store_from_events(events, time_origin="epoch_days")
     filtered, report = filter_invoice_cases(store)
-    assert filtered.entity_ids == ["edge", "inside"]
+    assert filtered.entity_ids == ("edge", "inside")
     assert report.cases_dropped_by_rule[RULE_DATE_RANGE] == 2
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxystream.logio import schema_for_store, write_event_log
+from proxystream.logio import write_event_log
 from proxystream.metrics import METRIC_NAMES
 from proxystream.sweep import (
     RunOutput,
@@ -98,7 +98,7 @@ def csv_config(name: str, workdir: Path) -> dict:
     order = np.random.default_rng(0).permutation(len(rows))
     path.write_text(header + "".join(rows[i] for i in order))
     return {**base, "events": str(path), "filter_cases": True,
-            "time_format": schema_for_store(store).time_format}
+            "time_format": "iso8601" if store.time_origin == "epoch_days" else "number"}
 
 
 def write_outputs(name: str, outdir: Path) -> None:

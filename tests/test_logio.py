@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import schema_for_store
 
 from proxystream.events import (
     BOOLEAN,
@@ -26,7 +27,6 @@ from proxystream.logio import (
     days_to_iso,
     parse_iso_to_days,
     read_event_log,
-    schema_for_store,
     write_event_log,
 )
 
@@ -67,7 +67,7 @@ def test_read_numeric_log(tmp_path):
     p = _write(tmp_path, "entity_id,activity,timestamp\n" "a,visit,1.5\n" "b,pay,0.5\n")
     store = read_event_log(p, LogSchema())
     assert np.array_equal(store.times, [0.5, 1.5])
-    assert store.entity_ids == ["b", "a"]
+    assert store.entity_ids == ("b", "a")
     assert store.alphabet == ("pay", "visit")
     assert store.time_origin is None
 
@@ -78,7 +78,7 @@ def test_entity_codes_follow_first_appearance_in_time(tmp_path):
                "c,visit,3,south\n" "a,visit,5,north\n" "b,pay,2,south\n" "a,pay,1,north\n")
     schema = LogSchema(entity_attributes=(ColumnSpec("region", CATEGORICAL, None),))
     store = read_event_log(p, schema)
-    assert store.entity_ids == ["a", "b", "c"]
+    assert store.entity_ids == ("a", "b", "c")
     assert np.array_equal(store.entity_codes, [0, 1, 2, 0])
     assert np.array_equal(store.first_times, [1.0, 2.0, 3.0])
     assert np.array_equal(store.entity_attribute("region"), [0.0, 1.0, 1.0])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import sample_loss
 
 from proxystream.models import (
     ColdStartError,
@@ -75,11 +76,16 @@ def test_rls_cold_start_and_validation():
             RecursiveLeastSquares(2, ridge=ridge)
 
 
-def test_rls_accepts_single_row_vectors():
+def test_rls_rejects_a_bare_row():
+    # inputs are batches only: one row is a (1, width) array
     model = RecursiveLeastSquares(2, ridge=1e-8)
+    with pytest.raises(ValueError, match=r"expected rows of width 2, got shape \(2,\)"):
+        model.update(np.array([1.0, 2.0]), np.array([5.0]))
     for i in range(5):
-        xi = np.array([float(i), float(i * i)])
-        model.update(xi, np.array([xi @ np.array([1.0, 2.0]) + 3.0]))
+        xi = np.array([[float(i), float(i * i)]])
+        model.update(xi, xi @ np.array([1.0, 2.0]) + 3.0)
+    with pytest.raises(ValueError, match="expected rows of width 2"):
+        model.predict(np.array([1.0, 2.0]))
     assert model.n_updates == 5
     assert model.n_rows == 5
     assert model.weights == pytest.approx([1.0, 2.0, 3.0], abs=1e-5)
@@ -107,9 +113,9 @@ def test_mlp_gradients_match_finite_differences():
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + eps
-                up = model.sample_loss(x[i], y[i])
+                up = sample_loss(model, x[i], y[i])
                 flat[j] = orig - eps
-                down = model.sample_loss(x[i], y[i])
+                down = sample_loss(model, x[i], y[i])
                 flat[j] = orig
                 numeric = (up - down) / (2 * eps)
                 scale = max(abs(numeric), abs(analytic[j]), 1e-8)
@@ -117,9 +123,9 @@ def test_mlp_gradients_match_finite_differences():
         # scalar output bias
         grads_b = grads["b_out"]
         model.b_out += eps
-        up = model.sample_loss(x[i], y[i])
+        up = sample_loss(model, x[i], y[i])
         model.b_out -= 2 * eps
-        down = model.sample_loss(x[i], y[i])
+        down = sample_loss(model, x[i], y[i])
         model.b_out += eps
         numeric = (up - down) / (2 * eps)
         assert abs(numeric - grads_b) / max(abs(numeric), 1e-8) < 1e-4

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_entity_predictions
+from conftest import Event, per_entity_predictions, store_from_events
+from proxystream.clustering import BINNED, EUCLIDEAN, GOWER
+from proxystream.filtering import VCI_LABEL
 from proxystream.encoding import weekly_spend
 from proxystream import pipeline
 from proxystream.metrics import (
@@ -97,6 +99,11 @@ def test_supermarket_default_steps():
             SupermarketUseCase(tau=tau)
 
 
+def test_supermarket_rejects_gower_distances():
+    with pytest.raises(ValueError, match="unsupported distance kind 'gower'"):
+        SupermarketUseCase(distance_kind=GOWER)
+
+
 # -- paint factory selection -----------------------------------------------
 
 def test_invoice_day_window_selection():
@@ -118,6 +125,12 @@ def test_receipt_is_selected_for_training_exactly_once():
     for t in PaintFactoryUseCase().default_steps(store):
         np.add.at(seen, ctx.select_training(t), 1)
     assert (seen == 1).all()
+
+
+def test_invoice_default_steps_are_empty_without_a_complete_case():
+    # one case was created but never received, the other never created
+    store = store_from_events([Event("open", VCI_LABEL, 1.0), Event("bare", "Change price", 2.0)])
+    assert PaintFactoryUseCase().default_steps(store) == range(0, 0)
 
 
 def test_invoice_default_steps_cover_last_receipt():
@@ -143,7 +156,10 @@ def test_rho_one_matches_bypass_exactly(make_store, usecase, spec, steps):
     if steps is None:
         steps = usecase.default_steps(store)
     run = run_stream(store, usecase, 1, model=spec, seed=9, steps=steps)
-    reference = per_entity_predictions(store, usecase, spec, 9, steps)
+    _assert_per_entity_bytes(run, per_entity_predictions(store, usecase, spec, 9, steps))
+
+
+def _assert_per_entity_bytes(run, reference) -> None:
     assert reference
     assert [s.step for s in run.steps if s.predicted] == list(reference)
     cols = run.ledger.records
@@ -151,6 +167,18 @@ def test_rho_one_matches_bypass_exactly(make_store, usecase, spec, steps):
         rows = cols[cols["step"] == t]
         assert np.array_equal(rows["code"], codes)
         assert rows["predicted"].tobytes() == predictions.tobytes()
+
+
+@pytest.mark.parametrize("partitioner", [pipeline.KMEDOIDS, pipeline.RANDOM])
+@pytest.mark.parametrize("kind", [EUCLIDEAN, BINNED])
+def test_rho_one_is_per_entity_for_every_kind_and_partitioner(kind, partitioner):
+    # at k == n each entity is its own cluster in batch order, so the proxy
+    # rows, and the model's sums over them, keep the per-entity order
+    store = _shopper_store(n=300, horizon=12, seed=4)
+    usecase = SupermarketUseCase(tau=3, distance_kind=kind)
+    steps = range(5, 12)
+    run = run_stream(store, usecase, 1, seed=9, steps=steps, partitioner=partitioner)
+    _assert_per_entity_bytes(run, per_entity_predictions(store, usecase, ModelSpec(), 9, steps))
 
 
 def test_rho_one_entity_metrics_equal_cluster_metrics():

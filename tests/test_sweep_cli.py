@@ -281,6 +281,8 @@ def test_generate_from_dict_rejects_bad_blocks() -> None:
         generate_from_dict({"kind": "lottery"})
     with pytest.raises(ValueError):
         generate_from_dict({"kind": "shopper", "preset": "vintage"})
+    with pytest.raises(ValueError, match="unknown invoice preset 'noise_dominated'"):
+        generate_from_dict({"kind": "invoice", "preset": "noise_dominated"})
     with pytest.raises(ValueError):
         generate_from_dict({"kind": "shopper", "wheels": 4})
     with pytest.raises(ValueError, match="bad generator parameters"):
