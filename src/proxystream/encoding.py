@@ -89,9 +89,9 @@ def weekly_spend(store: EventStore, entity_codes: np.ndarray,
     entity_codes = np.asarray(entity_codes, dtype=np.int64)
     lo = int(np.searchsorted(store.times, start, side="left"))
     hi = int(np.searchsorted(store.times, end, side="left"))
-    totals = np.zeros(store.entity_count)
-    np.add.at(totals, store.entity_codes[lo:hi],
-              store.event_attribute("total_value")[lo:hi])
+    totals = np.bincount(store.entity_codes[lo:hi],
+                         weights=store.event_attribute("total_value")[lo:hi],
+                         minlength=store.entity_count)
     return totals[entity_codes]
 
 

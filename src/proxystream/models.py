@@ -97,7 +97,6 @@ class RecursiveLeastSquares:
         self._moment = np.zeros(d)
         self._weights = np.zeros(d)
         self.n_updates = 0
-        self.n_rows = 0
 
     @property
     def weights(self) -> np.ndarray:
@@ -114,7 +113,6 @@ class RecursiveLeastSquares:
         self._moment += xa.T @ y
         self._weights = np.linalg.solve(self._info, self._moment)
         self.n_updates += 1
-        self.n_rows += len(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.n_updates == 0:
@@ -148,7 +146,6 @@ class OnlineMLP:
         self.b_out = 0.0
         self._rng = rng
         self.n_updates = 0
-        self.n_rows = 0
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         h = np.tanh(x @ self.w_hidden.T + self.b_hidden)
@@ -163,29 +160,16 @@ class OnlineMLP:
     def update(self, x: np.ndarray, y: np.ndarray) -> None:
         x, y = _check_batch(x, y, self.input_width)
         lr = self.learning_rate
+        w_hidden, b_hidden, w_out = self.w_hidden, self.b_hidden, self.w_out
         for _ in range(self.epochs):
             for i in self._rng.permutation(len(x)):
-                grads = self.gradients(x[i], y[i])
-                self.w_hidden -= lr * grads["w_hidden"]
-                self.b_hidden -= lr * grads["b_hidden"]
-                self.w_out -= lr * grads["w_out"]
-                self.b_out -= lr * grads["b_out"]
+                # every gradient is taken at the weights before this step
+                row = x[i]
+                h = np.tanh(w_hidden @ row + b_hidden)
+                delta = float(h @ w_out + self.b_out) - float(y[i])
+                d_hidden = delta * w_out * (1.0 - h ** 2)
+                w_hidden -= lr * (d_hidden[:, None] * row)
+                b_hidden -= lr * d_hidden
+                w_out -= lr * (delta * h)
+                self.b_out -= lr * delta
         self.n_updates += 1
-        self.n_rows += len(x)
-
-    def gradients(self, x: np.ndarray, y: float) -> dict[str, np.ndarray | float]:
-        """Analytic loss gradients for one sample, keyed by parameter name."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (self.input_width,):
-            raise ValueError(f"expected one row of width {self.input_width}")
-        pre = self.w_hidden @ x + self.b_hidden
-        h = np.tanh(pre)
-        pred = float(h @ self.w_out + self.b_out)
-        delta = pred - float(y)
-        d_hidden = delta * self.w_out * (1.0 - h ** 2)
-        return {
-            "w_hidden": np.outer(d_hidden, x),
-            "b_hidden": d_hidden,
-            "w_out": delta * h,
-            "b_out": delta,
-        }

@@ -225,12 +225,13 @@ def run_stream(store, usecase, rho: int | str, *,
             if regressor.n_updates == 0:
                 logger.info("step %s: prediction skipped, model is cold", t)
             else:
-                cluster_ids, px, _, counts = proxy_matrices(ppart, pmodel_x)
-                pos = np.searchsorted(cluster_ids, ppart.assignment)
+                # neither partitioner leaves a cluster empty: proxy row j is cluster j
+                _, px, _, counts = proxy_matrices(ppart, pmodel_x)
+                cluster = ppart.assignment
                 res.predicted = True
                 ledger.add_predictions(
-                    t, pred_codes, ppart.assignment, counts[pos].astype(np.int64),
-                    regressor.predict(px)[pos], ctx.prev_outcomes(pred_codes, t),
+                    t, pred_codes, cluster, counts[cluster].astype(np.int64),
+                    regressor.predict(px)[cluster], ctx.prev_outcomes(pred_codes, t),
                 )
 
         # -- resolution, after the step's predictions are ledgered so a

@@ -86,8 +86,7 @@ class SupermarketContext:
         self.tau = usecase.tau
         self.model_width = journey_row_count(len(store.alphabet)) * usecase.tau
 
-    def _selection(self, t: float, start_cut: float, window_lo: float,
-                   window_hi: float) -> np.ndarray:
+    def _selection(self, start_cut: float, window_lo: float, window_hi: float) -> np.ndarray:
         store = self.store
         active = store.first_times < start_cut
         lo = int(np.searchsorted(store.times, window_lo, side="left"))
@@ -97,10 +96,10 @@ class SupermarketContext:
         return np.nonzero(active & seen)[0].astype(np.int64)
 
     def select_training(self, t: float) -> np.ndarray:
-        return self._selection(t, t - self.tau, t - self.tau - 1, t - 1)
+        return self._selection(t - self.tau, t - self.tau - 1, t - 1)
 
     def select_prediction(self, t: float) -> np.ndarray:
-        return self._selection(t, t - self.tau + 1, t - self.tau, t)
+        return self._selection(t - self.tau + 1, t - self.tau, t)
 
     def encode_batch(self, codes: np.ndarray, window_end: float):
         """Model features (flattened journey matrices) and clustering

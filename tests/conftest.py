@@ -79,6 +79,19 @@ def schema_for_store(store: EventStore) -> LogSchema:
 def sample_loss(model: OnlineMLP, x: np.ndarray, y: float) -> float:
     """Squared-error loss 0.5 (yhat - y)^2 of one sample under the model's
     current weights, computed here from those weights: the finite-difference
-    oracle for ``OnlineMLP.gradients``."""
+    oracle for ``mlp_gradients``."""
     h = np.tanh(model.w_hidden @ np.asarray(x, dtype=float) + model.b_hidden)
     return 0.5 * (float(h @ model.w_out + model.b_out) - y) ** 2
+
+
+def mlp_gradients(model: OnlineMLP, x: np.ndarray, y: float) -> dict[str, np.ndarray | float]:
+    """Analytic gradients of ``sample_loss`` for one sample, keyed by weight
+    name and computed here from the model's public weights: the step oracle
+    for ``OnlineMLP.update``, whose per-sample step moves each weight ``w`` to
+    ``w - learning_rate * gradient`` with these same float operations."""
+    x = np.asarray(x, dtype=float)
+    h = np.tanh(model.w_hidden @ x + model.b_hidden)
+    delta = float(h @ model.w_out + model.b_out) - float(y)
+    d_hidden = delta * model.w_out * (1.0 - h ** 2)
+    return {"w_hidden": np.outer(d_hidden, x), "b_hidden": d_hidden,
+            "w_out": delta * h, "b_out": delta}

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import per_entity_predictions, sample_loss
+from conftest import mlp_gradients, per_entity_predictions, sample_loss
 from proxystream import pipeline
 from proxystream.clustering import (
     BINNED,
@@ -362,14 +362,18 @@ def _rls_oracle_gap(rng: np.random.Generator) -> float:
     return float(np.max(np.abs(model.weights - batch)))
 
 
-def _mlp_gradient_gap(rng: np.random.Generator) -> float:
+def _mlp_gradient_gap(rng: np.random.Generator) -> tuple[float, bool]:
+    """Worst relative gap between the analytic gradients and central finite
+    differences, and whether ``update`` on that one sample moves every weight
+    ``w`` to exactly ``w - learning_rate * gradient``."""
     model = OnlineMLP(5, hidden=4, learning_rate=0.01, seed=3)
     sample = rng.normal(size=5)
     target = float(rng.normal())
-    analytic = model.gradients(sample, target)
+    analytic = mlp_gradients(model, sample, target)
+    names = ("w_hidden", "b_hidden", "w_out", "b_out")
     eps = 1e-6
     worst = 0.0
-    for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+    for name in names:
         param = getattr(model, name)
         grad = np.atleast_1d(np.asarray(analytic[name], dtype=float))
         flat_param = np.atleast_1d(np.asarray(param, dtype=float))
@@ -387,7 +391,12 @@ def _mlp_gradient_gap(rng: np.random.Generator) -> float:
             wanted = grad.reshape(-1)[index]
             scale = max(abs(numeric), abs(wanted), 1e-8)
             worst = max(worst, abs(numeric - wanted) / scale)
-    return worst
+    stepped = {name: np.asarray(getattr(model, name) - model.learning_rate * analytic[name])
+               for name in names}
+    model.update(sample[None, :], [target])
+    exact = all(np.asarray(getattr(model, name)).tobytes() == stepped[name].tobytes()
+                for name in names)
+    return worst, exact
 
 
 def test_criterion_09_component_oracles() -> None:
@@ -396,14 +405,15 @@ def test_criterion_09_component_oracles() -> None:
     fit_gap = _linear_fit_oracle_gap(rng)
     medoid_gap = _medoid_enumeration_gap(rng)
     rls_gap = _rls_oracle_gap(rng)
-    grad_gap = _mlp_gradient_gap(rng)
+    grad_gap, step_exact = _mlp_gradient_gap(rng)
     elapsed = time.monotonic() - t_begin
     ok = (fit_gap < 1e-9 and medoid_gap < 1e-9 and rls_gap < 1e-6
-          and grad_gap < 1e-4 and elapsed < 120)
+          and grad_gap < 1e-4 and step_exact and elapsed < 120)
     report(9, "component oracles", ok,
            f"linear-fit {fit_gap:.1e} (<1e-9), medoid enumeration {medoid_gap:.1e} "
            f"(<1e-9), recursive-vs-batch {rls_gap:.1e} (<1e-6), "
-           f"gradient check {grad_gap:.1e} (<1e-4 rel), {elapsed:.1f}s")
+           f"gradient check {grad_gap:.1e} (<1e-4 rel), one-sample update "
+           f"{'steps' if step_exact else 'does not step'} by the gradients, {elapsed:.1f}s")
 
 
 # -- criterion 10 ----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Incremental regressors: recursive least squares and the online MLP."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
-from conftest import sample_loss
+from conftest import mlp_gradients, sample_loss
 
 from proxystream.models import (
     ColdStartError,
@@ -87,7 +89,6 @@ def test_rls_rejects_a_bare_row():
     with pytest.raises(ValueError, match="expected rows of width 2"):
         model.predict(np.array([1.0, 2.0]))
     assert model.n_updates == 5
-    assert model.n_rows == 5
     assert model.weights == pytest.approx([1.0, 2.0, 3.0], abs=1e-5)
 
 
@@ -105,7 +106,7 @@ def test_mlp_gradients_match_finite_differences():
     model, x, y = _grad_fixture()
     eps = 1e-6
     for i in range(5):
-        grads = model.gradients(x[i], y[i])
+        grads = mlp_gradients(model, x[i], y[i])
         for name in ("w_hidden", "b_hidden", "w_out"):
             param = getattr(model, name)
             flat = param.reshape(-1)
@@ -129,6 +130,30 @@ def test_mlp_gradients_match_finite_differences():
         model.b_out += eps
         numeric = (up - down) / (2 * eps)
         assert abs(numeric - grads_b) / max(abs(numeric), 1e-8) < 1e-4
+
+
+def test_mlp_update_steps_by_the_oracle_gradients():
+    # update takes one SGD step per sample, in the order the model's seeded
+    # generator draws, each with gradients taken at the weights before it
+    rng = np.random.default_rng(21)
+    names = ("w_hidden", "b_hidden", "w_out", "b_out")
+    for width in (3, 7):
+        for epochs in (1, 2):
+            model = OnlineMLP(width, hidden=5, learning_rate=0.05, epochs=epochs, seed=width)
+            oracle = copy.deepcopy(model)
+            for n in (40, 9):
+                x = rng.normal(size=(n, width))
+                y = rng.normal(size=n)
+                model.update(x, y)
+                for _ in range(epochs):
+                    for i in oracle._rng.permutation(n):
+                        grads = mlp_gradients(oracle, x[i], y[i])
+                        for name in names:
+                            setattr(oracle, name, getattr(oracle, name)
+                                    - oracle.learning_rate * grads[name])
+                for name in names:
+                    assert (np.asarray(getattr(model, name)).tobytes()
+                            == np.asarray(getattr(oracle, name)).tobytes()), (width, epochs, name)
 
 
 def test_mlp_learns_a_simple_function():
@@ -185,8 +210,12 @@ def test_mlp_cold_start_and_validation():
         OnlineMLP(3, hidden=2.5)
     with pytest.raises(ValueError):
         OnlineMLP(3, learning_rate=float("nan"))
-    with pytest.raises(ValueError):
-        model.gradients(np.zeros(5), 0.0)
+    # inputs are batches only: a row of the wrong width or a bare row is refused
+    with pytest.raises(ValueError, match="expected rows of width 2"):
+        model.update(np.zeros((1, 5)), [0.0])
+    with pytest.raises(ValueError, match="expected rows of width 2"):
+        model.update(np.array([1.0, 2.0]), [0.0])
+    assert model.n_updates == 0
 
 
 # -- model spec ------------------------------------------------------------
