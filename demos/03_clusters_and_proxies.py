@@ -58,13 +58,14 @@ print(f"\nrho=32 cluster purity (dominant archetype share): "
 
 ###############################################################################
 # Proxies are exact means. `proxy_matrices` averages model features and
-# outcomes per cluster; checking one cluster by hand shows the identity.
+# outcomes per cluster, row j for cluster j; checking one cluster by hand
+# shows the identity.
 
 weekly_spend = model_x[:, 3 * 3]  # the total_value_sum row, first week column
-cluster_ids, proxy_x, proxy_y, counts = proxy_matrices(part, model_x, weekly_spend)
-members = np.flatnonzero(part.assignment == cluster_ids[0])
+proxy_x, proxy_y, sizes = proxy_matrices(part, model_x, weekly_spend)
+members = np.flatnonzero(part.assignment == 0)
 by_hand = model_x[members].mean(axis=0)
-print(f"\nproxy 0 averages {int(counts[0])} members; "
+print(f"\nproxy 0 averages {sizes[0]} members; "
       f"max |proxy - hand mean| = "
       f"{np.abs(proxy_x[0] - by_hand).max():.2e}")
 print(f"proxy outcome {proxy_y[0]:.3f} vs "

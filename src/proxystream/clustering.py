@@ -566,29 +566,29 @@ def proxy_matrices(partition: Partition, features: np.ndarray,
                    outcomes: np.ndarray | None = None):
     """Average features (and outcomes) per cluster.
 
-    Returns (cluster_ids, proxy_features, proxy_outcomes, counts) with rows
-    ordered by ascending cluster index; clusters without members are skipped.
-    proxy_outcomes is None when no outcomes are given.
+    Returns (proxy_features, proxy_outcomes, sizes), where row j is cluster j
+    and ``sizes[j]`` its member count; proxy_outcomes is None when no
+    outcomes are given. An empty cluster has no mean and raises ValueError.
     """
     features = np.asarray(features, dtype=float)
     if features.shape[0] != partition.n_points:
         raise ValueError("features row count does not match the partition")
     sizes = partition.sizes()
-    cluster_ids = np.nonzero(sizes)[0]
-    counts = sizes[cluster_ids].astype(float)
+    if (sizes == 0).any():
+        raise ValueError("empty cluster: a proxy needs at least one member")
 
     # bincount sums each cluster's rows in index order from 0.0, as np.add.at does
     sums = np.empty((partition.k, features.shape[1]))
     for j, column in enumerate(features.T):
         sums[:, j] = np.bincount(partition.assignment, weights=column, minlength=partition.k)
-    proxy_features = sums[cluster_ids] / counts[:, None]
+    proxy_features = sums / sizes[:, None]
 
     proxy_outcomes = None
     if outcomes is not None:
         outcomes = np.asarray(outcomes, dtype=float)
-        osums = np.bincount(partition.assignment, weights=outcomes, minlength=partition.k)
-        proxy_outcomes = osums[cluster_ids] / counts
-    return cluster_ids, proxy_features, proxy_outcomes, counts
+        proxy_outcomes = np.bincount(partition.assignment, weights=outcomes,
+                                     minlength=partition.k) / sizes
+    return proxy_features, proxy_outcomes, sizes
 
 
 def mean_medoid_gap(n: int, d: int, samples: int = 1000, seed: int = 0) -> float:

@@ -164,12 +164,13 @@ def run_stream(store, usecase, rho: int | str, *,
     whole batch into one cluster.
     """
     check_rho(rho)
+    check_int("max_iter", max_iter, 1)
     if partitioner not in (KMEDOIDS, RANDOM):
         raise ValueError(f"unknown partitioner {partitioner!r}")
 
     ctx = usecase.prepare(store)
     if steps is None:
-        steps = usecase.default_steps(store)
+        steps = ctx.default_steps()
     steps = list(steps)
     for t in steps:
         check_int("steps", t, 0)
@@ -186,8 +187,7 @@ def run_stream(store, usecase, rho: int | str, *,
         cluster_seed = np.random.SeedSequence(seed, spawn_key=(_CLUSTER_KEY, phase, t))
         if partitioner == RANDOM:
             return random_partition(len(cluster_x), k, cluster_seed)
-        return k_medoids(cluster_x, k, ctx.distance_template(), seed=cluster_seed,
-                         max_iter=max_iter)
+        return k_medoids(cluster_x, k, ctx.distance, seed=cluster_seed, max_iter=max_iter)
 
     ledger = EvaluationLedger()
     results: list[StepResult] = []
@@ -209,7 +209,7 @@ def run_stream(store, usecase, rho: int | str, *,
         res.n_train = len(codes)
         if len(codes):
             res.k_train = part.k
-            _, px, py, _ = proxy_matrices(part, model_x, ctx.training_outcomes(codes, t))
+            px, py, _ = proxy_matrices(part, model_x, ctx.training_outcomes(codes, t))
             regressor.update(px, py)
             res.trained = True
 
@@ -225,12 +225,12 @@ def run_stream(store, usecase, rho: int | str, *,
             if regressor.n_updates == 0:
                 logger.info("step %s: prediction skipped, model is cold", t)
             else:
-                # neither partitioner leaves a cluster empty: proxy row j is cluster j
-                _, px, _, counts = proxy_matrices(ppart, pmodel_x)
+                # proxy row j is cluster j
+                px, _, sizes = proxy_matrices(ppart, pmodel_x)
                 cluster = ppart.assignment
                 res.predicted = True
                 ledger.add_predictions(
-                    t, pred_codes, cluster, counts[cluster].astype(np.int64),
+                    t, pred_codes, cluster, sizes[cluster],
                     regressor.predict(px)[cluster], ctx.prev_outcomes(pred_codes, t),
                 )
 

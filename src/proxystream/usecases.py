@@ -1,10 +1,12 @@
 """Use-case adapters binding a stream to the prequential pipeline.
 
-A use case says which entities are selected for training and prediction at
-step t, how a selected batch is encoded (model features vs clustering
-features), what the training outcome is, and how pending predictions get
-their ground truth. ``prepare(store)`` returns a context with the per-store
-precomputations; the pipeline only talks to contexts.
+A use case holds only its settings; ``prepare(store)`` returns a context that
+owns every fact derived from the store: the default step range
+(``default_steps()``), the clustering distance (``distance``), which entities
+are selected for training and prediction at step t, how a selected batch is
+encoded (model features vs clustering features), what the training outcome
+is, and how pending predictions get their ground truth. The pipeline only
+talks to contexts.
 
 Supermarket: steps are weeks. Training at t selects entities that started
 before week t - tau and were seen in [t - tau - 1, t - 1); their journey
@@ -13,9 +15,11 @@ matrix spans [t - 1 - tau, t - 1) and the outcome is the spend over
 the prediction selection at t identical to the training selection at t + 1,
 so encodings and partitions are reusable across steps.
 
-Paint factory: steps are days over invoice cases. Training at t selects
-cases whose receipt fell in [t - 1, t) with the known creation-to-receipt
-duration as outcome; prediction at t selects cases created in [t - 1, t).
+Paint factory: steps are days over invoice cases. A case is known when it
+has both its creation and its receipt event. Training at t selects known
+cases whose receipt fell in [t - 1, t) with the creation-to-receipt duration
+as outcome; prediction at t selects cases created in [t - 1, t), so a case
+created but never received is predicted and stays unresolved.
 Features are prefix label frequencies plus fixed case attributes: one-hot
 for averaging into proxies, mixed codes under Gower for clustering.
 """
@@ -25,14 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import (
-    BINNED,
-    EUCLIDEAN,
-    DistanceSpec,
-    binned_spec,
-    euclidean_spec,
-    gower_spec,
-)
+from .clustering import BINNED, EUCLIDEAN, DistanceSpec, gower_spec
 from .encoding import (
     encode_journeys,
     invoice_encoding,
@@ -61,18 +58,12 @@ class SupermarketUseCase:
 
     def __post_init__(self) -> None:
         check_int("tau", self.tau, 2)  # a line needs two weeks
+        check_int("n_bins", self.n_bins, 1)
         if self.distance_kind not in (EUCLIDEAN, BINNED):
             raise ValueError(f"unsupported distance kind {self.distance_kind!r}")
 
     def prepare(self, store: EventStore) -> "SupermarketContext":
         return SupermarketContext(store, self)
-
-    def default_steps(self, store: EventStore) -> range:
-        """Step range covering the stream: first step with a non-empty
-        training window through the last full week."""
-        first = int(np.floor(store.times[0])) if len(store) else 0
-        last = int(np.ceil(store.times[-1])) if len(store) else 0
-        return range(first + self.tau + 1, last + 1)
 
 
 class SupermarketContext:
@@ -82,9 +73,17 @@ class SupermarketContext:
 
     def __init__(self, store: EventStore, usecase: SupermarketUseCase) -> None:
         self.store = store
-        self.usecase = usecase
         self.tau = usecase.tau
         self.model_width = journey_row_count(len(store.alphabet)) * usecase.tau
+        self.distance = DistanceSpec(usecase.distance_kind, n_bins=usecase.n_bins)
+
+    def default_steps(self) -> range:
+        """Step range covering the stream: first step with a non-empty
+        training window through the last full week."""
+        times = self.store.times
+        first = int(np.floor(times[0])) if len(times) else 0
+        last = int(np.ceil(times[-1])) if len(times) else 0
+        return range(first + self.tau + 1, last + 1)
 
     def _selection(self, start_cut: float, window_lo: float, window_hi: float) -> np.ndarray:
         store = self.store
@@ -121,11 +120,6 @@ class SupermarketContext:
     def resolve_outcomes(self, codes: np.ndarray, prediction_step: float) -> np.ndarray:
         return weekly_spend(self.store, codes, prediction_step, prediction_step + 1)
 
-    def distance_template(self) -> DistanceSpec:
-        if self.usecase.distance_kind == BINNED:
-            return binned_spec(self.usecase.n_bins)
-        return euclidean_spec()
-
 
 @dataclass(frozen=True)
 class PaintFactoryUseCase:
@@ -133,20 +127,6 @@ class PaintFactoryUseCase:
 
     def prepare(self, store: EventStore) -> "PaintFactoryContext":
         return PaintFactoryContext(store)
-
-    def default_steps(self, store: EventStore) -> range:
-        """Creation day of the first case through the receipt day of the
-        last, so late predictions still get resolved."""
-        if not len(store):
-            return range(0, 0)
-        creation = label_times(store, VCI_LABEL)
-        receipt = label_times(store, RIR_LABEL)
-        known = np.isfinite(creation) & np.isfinite(receipt)
-        if not known.any():
-            return range(0, 0)
-        first = int(np.floor(creation[known].min()))
-        last = int(np.ceil(receipt[known].max()))
-        return range(first + 1, last + 2)
 
 
 class PaintFactoryContext:
@@ -158,20 +138,32 @@ class PaintFactoryContext:
         self.store = store
         self.creation_times = label_times(store, VCI_LABEL)
         self.receipt_times = label_times(store, RIR_LABEL)
-        self.durations = self.receipt_times - self.creation_times
+        # a case missing either event has no duration and is never trained on
+        self.known = np.isfinite(self.creation_times) & np.isfinite(self.receipt_times)
+        self.durations = np.subtract(self.receipt_times, self.creation_times,
+                                     out=np.full(store.entity_count, np.nan), where=self.known)
         self.prefix_counts = prefix_label_counts(store, self.creation_times)
         self.model_width = one_hot_width(store)
+        # mixed rows: label counts (numeric), then the case attributes (categorical)
         n_labels = len(store.alphabet)
-        mask = np.zeros(n_labels + len(store.entity_schema), dtype=bool)
-        mask[n_labels:] = True
-        self._categorical_mask = mask
+        self.distance = gower_spec(np.arange(n_labels + len(store.entity_schema)) >= n_labels)
+
+    def default_steps(self) -> range:
+        """Creation day of the first known case through the receipt day of
+        the last, so late predictions still get resolved."""
+        if not self.known.any():
+            return range(0, 0)
+        first = int(np.floor(self.creation_times[self.known].min()))
+        last = int(np.ceil(self.receipt_times[self.known].max()))
+        return range(first + 1, last + 2)
 
     def _in_window(self, times: np.ndarray, t: float) -> np.ndarray:
         hit = (times >= t - 1) & (times < t)
         return np.nonzero(hit)[0].astype(np.int64)
 
     def select_training(self, t: float) -> np.ndarray:
-        return self._in_window(self.receipt_times, t)
+        codes = self._in_window(self.receipt_times, t)
+        return codes[self.known[codes]]
 
     def select_prediction(self, t: float) -> np.ndarray:
         return self._in_window(self.creation_times, t)
@@ -189,6 +181,3 @@ class PaintFactoryContext:
 
     def resolve_outcomes(self, codes: np.ndarray, prediction_step: float) -> np.ndarray:
         return self.durations[codes]
-
-    def distance_template(self) -> DistanceSpec:
-        return gower_spec(self._categorical_mask)

@@ -155,12 +155,12 @@ def test_criterion_02_partition_laws_every_step() -> None:
 
 # -- criterion 3 -----------------------------------------------------------
 
-def _proxy_deviation(part, member_x, proxy_x, cluster_ids) -> float:
+def _proxy_deviation(part, member_x, proxy_x) -> float:
     worst = 0.0
-    for row, cid in enumerate(cluster_ids):
-        members = np.flatnonzero(part.assignment == cid)
+    for c in range(part.k):
+        members = np.flatnonzero(part.assignment == c)
         worst = max(worst, float(np.max(np.abs(
-            proxy_x[row] - member_x[members].mean(axis=0)))))
+            proxy_x[c] - member_x[members].mean(axis=0)))))
     return worst
 
 
@@ -182,13 +182,13 @@ def test_criterion_03_proxies_are_member_means(monkeypatch) -> None:
     audited_run(paint, PaintFactoryUseCase(), 10, seed=3)
     worst = 0.0
     n_clusters = 0
-    for part, member_x, outcomes, (cluster_ids, proxy_x, proxy_y, _) in calls:
-        worst = max(worst, _proxy_deviation(part, member_x, proxy_x, cluster_ids))
+    for part, member_x, outcomes, (proxy_x, proxy_y, _) in calls:
+        worst = max(worst, _proxy_deviation(part, member_x, proxy_x))
         if outcomes is not None:
-            for row, cid in enumerate(cluster_ids):
-                members = np.flatnonzero(part.assignment == cid)
-                worst = max(worst, abs(float(proxy_y[row] - outcomes[members].mean())))
-        n_clusters += len(cluster_ids)
+            for c in range(part.k):
+                members = np.flatnonzero(part.assignment == c)
+                worst = max(worst, abs(float(proxy_y[c] - outcomes[members].mean())))
+        n_clusters += part.k
     report(3, "proxy features and outcomes equal member means", worst <= 1e-12,
            f"max deviation {worst:.2e} over {n_clusters} clusters (tolerance 1e-12)")
 

@@ -966,38 +966,35 @@ def test_medoid_update_rejects_an_empty_cluster():
 def test_singleton_partition_proxies_are_identities():
     feats = np.random.default_rng(2).normal(size=(6, 3))
     part = Partition(6, 6, np.arange(6))
-    ids, px, py, counts = proxy_matrices(part, feats, np.arange(6.0))
-    assert np.array_equal(ids, np.arange(6))
+    px, py, sizes = proxy_matrices(part, feats, np.arange(6.0))
     assert np.array_equal(px, feats)
     assert np.array_equal(py, np.arange(6.0))
-    assert np.array_equal(counts, np.ones(6))
+    assert np.array_equal(sizes, np.ones(6))
+    assert sizes.dtype.kind == "i"
 
 
 def test_pair_average_fixture():
     part = Partition(2, 1, np.zeros(2, dtype=np.int64))
-    _, px, py, counts = proxy_matrices(part, np.array([[10.0], [20.0]]),
-                                       np.array([10.0, 20.0]))
+    px, py, sizes = proxy_matrices(part, np.array([[10.0], [20.0]]), np.array([10.0, 20.0]))
     assert px[0, 0] == 15.0
     assert py[0] == 15.0
-    assert counts[0] == 2.0
+    assert sizes[0] == 2
 
 
 def test_three_row_fixture():
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     part = Partition(3, 2, np.array([0, 1, 0]))
-    ids, px, py, counts = proxy_matrices(part, feats, np.array([10.0, 20.0, 30.0]))
-    assert np.array_equal(ids, [0, 1])
+    px, py, sizes = proxy_matrices(part, feats, np.array([10.0, 20.0, 30.0]))
     assert np.array_equal(px, [[3.0, 4.0], [3.0, 4.0]])
     assert np.array_equal(py, [20.0, 20.0])
-    assert np.array_equal(counts, [2.0, 1.0])
+    assert np.array_equal(sizes, [2, 1])
 
 
-def test_empty_clusters_are_skipped():
+def test_empty_cluster_is_an_error():
+    # cluster 1 has no member, so it has no mean
     part = Partition(2, 3, np.array([0, 2]))
-    ids, px, py, counts = proxy_matrices(part, np.array([[1.0], [5.0]]))
-    assert np.array_equal(ids, [0, 2])
-    assert py is None
-    assert np.array_equal(counts, [1.0, 1.0])
+    with pytest.raises(ValueError, match="empty cluster"):
+        proxy_matrices(part, np.array([[1.0], [5.0]]))
 
 
 def test_proxy_means_match_numpy_means():
@@ -1008,12 +1005,13 @@ def test_proxy_means_match_numpy_means():
         feats = rng.normal(size=(n, 4)) * 100
         outs = rng.normal(size=n)
         part = random_partition(n, k, seed=int(rng.integers(1 << 30)))
-        ids, px, py, counts = proxy_matrices(part, feats, outs)
-        for row, c in enumerate(ids):
+        px, py, sizes = proxy_matrices(part, feats, outs)
+        assert len(px) == len(py) == len(sizes) == k
+        for c in range(k):
             members = np.flatnonzero(part.assignment == c)
-            assert np.allclose(px[row], feats[members].mean(axis=0), atol=1e-12)
-            assert py[row] == pytest.approx(outs[members].mean(), abs=1e-12)
-            assert counts[row] == len(members)
+            assert np.allclose(px[c], feats[members].mean(axis=0), atol=1e-12)
+            assert py[c] == pytest.approx(outs[members].mean(), abs=1e-12)
+            assert sizes[c] == len(members)
 
 
 def test_proxy_sums_equal_add_at_sums():
@@ -1025,13 +1023,14 @@ def test_proxy_sums_equal_add_at_sums():
         feats = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 6, size=d)
         outs = rng.normal(size=n) * 1e4
         part = random_partition(n, k, seed=int(rng.integers(1 << 30)))
-        ids, px, py, counts = proxy_matrices(part, feats, outs)
+        px, py, sizes = proxy_matrices(part, feats, outs)
         sums = np.zeros((k, d))
         np.add.at(sums, part.assignment, feats)
         osums = np.zeros(k)
         np.add.at(osums, part.assignment, outs)
-        assert np.array_equal(px, sums[ids] / counts[:, None])
-        assert np.array_equal(py, osums[ids] / counts)
+        counts = np.bincount(part.assignment).astype(float)
+        assert np.array_equal(px, sums / counts[:, None])
+        assert np.array_equal(py, osums / counts)
 
 
 def test_proxy_row_count_mismatch():
@@ -1042,13 +1041,12 @@ def test_proxy_row_count_mismatch():
 def test_make_proxies_fields():
     feats = np.array([[0.0], [2.0], [4.0]])
     part = Partition(3, 2, np.array([1, 1, 0]))
-    ids, px, py, counts = proxy_matrices(part, feats, np.array([1.0, 3.0, 5.0]))
-    assert np.array_equal(ids, [0, 1])
-    assert counts[0] == 1
-    assert counts[1] == 2
+    px, py, sizes = proxy_matrices(part, feats, np.array([1.0, 3.0, 5.0]))
+    assert sizes[0] == 1
+    assert sizes[1] == 2
     assert px[1, 0] == 1.0
     assert py[1] == 2.0
-    assert proxy_matrices(part, feats)[2] is None
+    assert proxy_matrices(part, feats)[1] is None
 
 
 # -- mean-medoid gap -------------------------------------------------------

@@ -267,7 +267,7 @@ def test_invoice_encoding_shapes_and_frequencies():
     assert enc.mixed.shape == (60, n_labels + 8)
     assert enc.onehot.shape == (60, 49)
     # the Gower mask of the paint context marks exactly the attribute columns
-    mask = PaintFactoryContext(store).distance_template().categorical_mask
+    mask = PaintFactoryContext(store).distance.categorical_mask
     assert mask.shape == (enc.mixed.shape[1],)
     assert not mask[:n_labels].any()
     assert mask[n_labels:].all()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import Event, per_entity_predictions, store_from_events
 from proxystream.clustering import BINNED, EUCLIDEAN, GOWER
-from proxystream.filtering import VCI_LABEL
+from proxystream.events import EventStore
+from proxystream.filtering import RIR_LABEL, VCI_LABEL
 from proxystream.encoding import weekly_spend
 from proxystream import pipeline
 from proxystream.metrics import (
@@ -92,11 +93,19 @@ def test_prediction_selection_equals_next_training_selection():
 
 def test_supermarket_default_steps():
     store = _shopper_store(n=20, horizon=10)
-    usecase = SupermarketUseCase(tau=3)
-    assert usecase.default_steps(store) == range(4, 11)
+    assert SupermarketUseCase(tau=3).prepare(store).default_steps() == range(4, 11)
     for tau in (1, 2.5, True):
         with pytest.raises(ValueError):
             SupermarketUseCase(tau=tau)
+
+
+@pytest.mark.parametrize("kind", [EUCLIDEAN, BINNED])
+def test_supermarket_checks_n_bins_for_every_kind(kind):
+    for n_bins in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_bins must be an integer >= 1"):
+            SupermarketUseCase(distance_kind=kind, n_bins=n_bins)
+    ctx = SupermarketUseCase(distance_kind=kind, n_bins=7).prepare(_shopper_store(n=5))
+    assert (ctx.distance.kind, ctx.distance.n_bins) == (kind, 7)
 
 
 def test_supermarket_rejects_gower_distances():
@@ -122,7 +131,7 @@ def test_receipt_is_selected_for_training_exactly_once():
     store, truth = _invoice_store(n=120, horizon=25.0, seed=5)
     ctx = PaintFactoryUseCase().prepare(store)
     seen = np.zeros(store.entity_count, dtype=int)
-    for t in PaintFactoryUseCase().default_steps(store):
+    for t in ctx.default_steps():
         np.add.at(seen, ctx.select_training(t), 1)
     assert (seen == 1).all()
 
@@ -130,12 +139,53 @@ def test_receipt_is_selected_for_training_exactly_once():
 def test_invoice_default_steps_are_empty_without_a_complete_case():
     # one case was created but never received, the other never created
     store = store_from_events([Event("open", VCI_LABEL, 1.0), Event("bare", "Change price", 2.0)])
-    assert PaintFactoryUseCase().default_steps(store) == range(0, 0)
+    assert PaintFactoryUseCase().prepare(store).default_steps() == range(0, 0)
+
+
+def _without_events(store, drop):
+    keep = ~drop
+    return EventStore(
+        store.times[keep], store.entity_codes[keep], store.activity_codes[keep],
+        store.entity_ids, store.alphabet, event_schema=store.event_schema,
+        event_attrs={f.name: store.event_attribute(f.name)[keep] for f in store.event_schema},
+        entity_schema=store.entity_schema,
+        entity_attrs={f.name: store.entity_attribute(f.name) for f in store.entity_schema},
+        time_origin=store.time_origin)
+
+
+def test_incomplete_invoice_cases_are_predicted_but_never_trained():
+    # an unfiltered store: one case lost its creation event (it used to train
+    # on a -inf duration and turn most predictions into NaN), one its
+    # receipt, and one both (its inf - inf duration used to warn)
+    store, truth = _invoice_store(n=200, horizon=20.0, seed=0)
+    by_receipt = np.argsort(truth.receipt_times, kind="stable")
+    no_creation, no_receipt, neither = (int(c) for c in by_receipt[[5, 20, 40]])
+    creation = store.activity_codes == store.alphabet.index(VCI_LABEL)
+    receipt = store.activity_codes == store.alphabet.index(RIR_LABEL)
+    case = store.entity_codes
+    store = _without_events(store, ((case == no_creation) | (case == neither)) & creation
+                            | ((case == no_receipt) | (case == neither)) & receipt)
+    ctx = PaintFactoryUseCase().prepare(store)
+    incomplete = [no_creation, no_receipt, neither]
+    assert np.flatnonzero(~ctx.known).tolist() == sorted(incomplete)
+    assert np.isnan(ctx.durations[incomplete]).all()
+    assert np.isfinite(ctx.durations[ctx.known]).all()
+    trained = np.concatenate([ctx.select_training(t) for t in ctx.default_steps()])
+    assert np.array_equal(np.sort(trained), np.flatnonzero(ctx.known))
+    for rho in (1, 4):
+        run = run_stream(store, PaintFactoryUseCase(), rho)
+        cols = run.ledger.records
+        assert len(cols) == store.entity_count - 2
+        assert np.isfinite(cols["predicted"]).all()
+        assert not np.isin([no_creation, neither], cols["code"]).any()
+        assert cols["code"][~cols["resolved"]].tolist() == [no_receipt]
+        assert run.config["unresolved"] == 1
+        assert all(np.isfinite(v) for v in run.metrics.averages.values() if v is not None)
 
 
 def test_invoice_default_steps_cover_last_receipt():
     store, truth = _invoice_store(n=50, horizon=15.0, seed=2)
-    steps = PaintFactoryUseCase().default_steps(store)
+    steps = PaintFactoryUseCase().prepare(store).default_steps()
     assert steps.start == int(np.floor(truth.creation_times.min())) + 1
     assert steps.stop == int(np.ceil(truth.receipt_times.max())) + 2
 
@@ -154,7 +204,7 @@ def test_invoice_default_steps_cover_last_receipt():
 def test_rho_one_matches_bypass_exactly(make_store, usecase, spec, steps):
     store = make_store()
     if steps is None:
-        steps = usecase.default_steps(store)
+        steps = usecase.prepare(store).default_steps()
     run = run_stream(store, usecase, 1, model=spec, seed=9, steps=steps)
     _assert_per_entity_bytes(run, per_entity_predictions(store, usecase, spec, 9, steps))
 
@@ -362,6 +412,17 @@ def test_run_stream_validates_arguments():
         run_stream(store, usecase, 2, steps=[6, 5])
     with pytest.raises(ValueError):
         run_stream(store, usecase, 2, steps=[-1, 2])
+
+
+@pytest.mark.parametrize("partitioner", ["kmedoids", "random"])
+def test_run_stream_checks_max_iter_up_front(partitioner):
+    store = _shopper_store(n=20, horizon=8)
+    for max_iter in (0, 2.5, True):
+        # steps=[] runs no step, so only an up-front check can see the value
+        for steps in ([], None):
+            with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+                run_stream(store, SupermarketUseCase(tau=3), 2, partitioner=partitioner,
+                           max_iter=max_iter, steps=steps)
 
 
 def test_run_stream_rejects_non_integer_steps():
