@@ -11,13 +11,13 @@ kind, the bin count and Gower's categorical columns; every batch statistic
 how Gower (Biometrics 27, 1971) defines the coefficient.
 
 Gower distances come from column planes. The handler stores its kept
-numeric columns and its categorical columns column-major, so a call gathers
-each operand once, forms every numeric term |a - b| / range in one array and
-every categorical mismatch in one comparison, one plane per column of the
-block's shape. The planes are then added one at a time, numeric columns and
-then categorical ones, each in ascending column order, to a sum that starts
-at 0.0, and divided by the column count: the additions of a per-column
-loop, in its order, so every distance has that loop's bits.
+numeric columns and its categorical columns column-major, so an operand is
+one gather of each, and a call forms every numeric term |a - b| / range in
+one array and every categorical mismatch in one comparison, one plane per
+column of the block's shape. The planes are then added one at a time,
+numeric columns and then categorical ones, each in ascending column order,
+to a sum that starts at 0.0, and divided by the column count: the additions
+of a per-column loop, in its order, so every distance has that loop's bits.
 
 Assignment is incremental. The first round finds every point's nearest
 medoid in row blocks of at most ``_BATCH_LIMIT`` elements and keeps only
@@ -33,12 +33,36 @@ points are medoids, round 1 computes half the rows.
 The medoid update is incremental too. Only clusters that gained or lost a
 point in the latest assignment are recomputed; every other cluster keeps its
 medoid, which is what a recompute over the same members would return. One
-kernel sums every cluster: its members are cut into slices of
-``_BATCH_LIMIT // s`` members, s the cluster size, and the tiles on and
-above the diagonal of its s x s matrix are summed, since d(i, j) == d(j, i):
-each member pair is computed once. A cluster of at most 512 members at the
+kernel sums every cluster: its members' operand is gathered once and cut
+into slices of ``_BATCH_LIMIT // s`` members, s the cluster size, and the
+tiles on and above the diagonal of its s x s matrix are summed, since
+d(i, j) == d(j, i): each member pair is computed once. A cluster of at most 512 members at the
 default limit is one diagonal tile, its own ``cross(m, m)``, and clusters of
 that size are stacked up to the limit per block.
+
+Every kernel fixes its floating-point operations and their order, since a
+last-bit change can decide a tie. Euclidean values are the Gram expansion
+``(nx + nm) - 2 x.m`` for true distances and ``(-2 x.m + nx) + nm`` for
+assignment, with ``x.m`` one BLAS product per block or tile; Gower values
+are the column terms added in column order from 0.0, then divided. The
+kernels reach those values with few passes, and each shortcut is exact:
+
+- a factor 2 or -2 is folded into one operand of an off-diagonal product
+  (and into the medoid operand of an assignment, built once per call):
+  scaling by a power of two is exact, so BLAS's products and partial sums
+  are the unscaled ones times the factor, barring overflow or subnormal
+  products; a diagonal tile keeps ``a @ a.T``, BLAS's symmetric path, and
+  doubles it after;
+- ``nx + nm`` is the K = 2 product ``[nx, 1] @ [1, nm]``, whose two products
+  are by 1.0, so each entry is the one rounded sum;
+- Gower planes are added by one ``np.add.reduce`` over the plane axis, which
+  numpy does one plane at a time unless the block has one element, where it
+  would sum pairwise, so such a block is added in a loop;
+- a one-tile cluster's sums are its ``cross(m, m) @ w`` with no add to
+  zeros, and a one-member cluster keeps its member with no distance at all.
+
+Block and tile shapes stay fixed: BLAS may round the same entry differently
+in products of other shapes, or at another row offset.
 
 Determinism contract: identical inputs and seed give identical partitions.
 Ties in assignment go to the lowest cluster index, ties in the medoid update
@@ -131,7 +155,27 @@ class _EuclideanHandler:
     Assignment uses squared distances (argmin-equivalent); true distances
     take a sqrt after clamping the expansion at zero. BLAS may round a
     product over a subset of rows or medoids differently in the last bit
-    from the same entries of the whole product.
+    from the same entries of the whole product, and a row's bits may depend
+    on its offset inside the product, so block and tile shapes are part of
+    the results.
+
+    Every value is computed as ``fl(fl(nx + nm) - fl(2 x.m))`` (a true
+    distance) or ``fl(fl(-2 x.m + nx) + nm)`` (an assignment value), where
+    ``x.m`` is the BLAS product of the block. Two rewrites keep those bits
+    with fewer passes:
+
+    - The factor 2 or -2 is folded into one operand of an off-diagonal
+      product: 2 a in ``cross``, -2 m in the medoid operand of
+      :meth:`assigner`. Scaling by a power of two is exact, so every product
+      and partial sum inside BLAS is the unscaled one times that factor,
+      unless one overflows or turns subnormal: products of coordinates
+      beyond about 1e154 or below about 1e-154, far from z-scored features.
+      A diagonal tile ``cross(a, a)`` keeps ``a @ a.T``, BLAS's symmetric
+      path, which gives d(i, j) == d(j, i) bit for bit, and doubles it
+      afterwards.
+    - ``nx + nm`` is the K = 2 product ``[nx, 1] @ [1, nm]``: both products
+      are by 1.0 and exact, so each entry is the one rounded sum, whatever
+      order BLAS adds the two terms in.
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -139,36 +183,62 @@ class _EuclideanHandler:
         self.norms = np.einsum("ij,ij->i", self.points, self.points)
         self._sums = np.empty(0)
 
-    def assign_values(self, medoids: np.ndarray, rows) -> np.ndarray:
-        """Squared distances from the points at ``rows`` to the medoids."""
-        sq = self.points[rows] @ self.points[medoids].T
-        sq *= -2.0
-        sq += self.norms[rows][:, None]
-        sq += self.norms[medoids][None, :]
-        np.maximum(sq, 0.0, out=sq)
-        return sq
+    def take(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The operand of :meth:`cross` for the points at ``idx``."""
+        return self.points[idx], self.norms[idx]
+
+    @staticmethod
+    def tile(operand, part: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Members ``part`` of every cluster of an operand from :meth:`take`."""
+        rows, norms = operand
+        return rows[..., part, :], norms[..., part]
+
+    def assigner(self, medoids: np.ndarray):
+        """Squared distances from the points at ``rows`` to the medoids, as a
+        function of ``rows``. The medoid operand -2 m is gathered once per
+        call, so each block is one product and three in-place passes."""
+        scaled = self.points[medoids]
+        scaled *= -2.0
+        scaled = scaled.T
+        norms = self.norms[medoids]
+
+        def values(rows) -> np.ndarray:
+            sq = self.points[rows] @ scaled
+            sq += self.norms[rows][:, None]
+            sq += norms
+            np.maximum(sq, 0.0, out=sq)
+            return sq
+        return values
 
     @staticmethod
     def finalize(values: np.ndarray) -> np.ndarray:
         return np.sqrt(values)
 
-    def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """True distances between index sets, broadcast over leading axes.
+    def cross(self, a, b) -> np.ndarray:
+        """True distances between two operands from :meth:`take`, broadcast
+        over leading axes.
 
-        When ``cols is rows`` both matmul operands are one array, so BLAS
-        takes its symmetric path and d(i, j) == d(j, i) bit for bit.
+        When ``b is a`` both matmul operands are one array, so BLAS takes its
+        symmetric path and d(i, j) == d(j, i) bit for bit.
         """
-        a = self.points[rows]
-        b = a if cols is rows else self.points[cols]
-        d = a @ np.swapaxes(b, -1, -2)
-        d *= 2.0
+        rows, row_norms = a
+        cols, col_norms = b
+        if b is a:
+            d = rows @ np.swapaxes(rows, -1, -2)
+            d *= 2.0
+        else:
+            d = (2.0 * rows) @ np.swapaxes(cols, -1, -2)
         # the norm sums go to a buffer kept across calls, so that a block
         # allocates one array: freeing two block-sized arrays at once lets
         # malloc return them to the system and fault them in again next block
         if self._sums.size < d.size:
             self._sums = np.empty(d.size)
         sums = self._sums[:d.size].reshape(d.shape)
-        np.add(self.norms[rows][..., :, None], self.norms[cols][..., None, :], out=sums)
+        left = np.ones((*row_norms.shape, 2))
+        left[..., 0] = row_norms
+        right = np.ones((*col_norms.shape[:-1], 2, col_norms.shape[-1]))
+        right[..., 1, :] = col_norms
+        np.matmul(left, right, out=sums)
         np.subtract(sums, d, out=d)
         np.maximum(d, 0.0, out=d)
         return np.sqrt(d, out=d)
@@ -184,7 +254,7 @@ class _GowerHandler:
 
     The columns are kept as planes: row i of ``num`` is the i-th kept numeric
     column over all points and row j of ``cat`` the j-th categorical one, so
-    a call gathers each operand once, for every column.
+    an operand is one gather of each, for every column.
     """
 
     def __init__(self, points: np.ndarray, mask: np.ndarray) -> None:
@@ -197,37 +267,51 @@ class _GowerHandler:
         self.cat = np.ascontiguousarray(points[:, mask].T)
         self.denom = max(len(self.num) + len(self.cat), 1)
 
-    def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances between index sets, broadcast over leading axes.
+    def take(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The operand of :meth:`cross` for the points at ``idx``."""
+        return self.num[:, idx], self.cat[:, idx]
+
+    @staticmethod
+    def tile(operand, part: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Members ``part`` of every cluster of an operand from :meth:`take`."""
+        return tuple(planes[..., part] for planes in operand)
+
+    def cross(self, a, b) -> np.ndarray:
+        """Distances between two operands from :meth:`take`, broadcast over
+        leading axes.
 
         Each kept column fills one plane of the output's shape: the numeric
         terms first, then the categorical mismatches as 0.0 or 1.0, each in
-        ascending column order. The planes are added one at a time to a sum
-        that starts at 0.0, the order of Gower's per-column mean. Adding them
-        with ``np.add.reduce`` over the plane axis would not keep it: numpy
-        sums a one-element block pairwise.
+        ascending column order. The planes are added in that order to a sum
+        that starts at 0.0, the order of Gower's per-column mean.
+        ``np.add.reduce`` over the plane axis adds them one plane at a time
+        when a plane holds two or more elements; a one-element block is a
+        contiguous run, which numpy would sum pairwise, so it is added in a
+        loop.
         """
-        a = self.num[:, rows]
-        b = a if cols is rows else self.num[:, cols]
-        n = len(self.num)
-        planes = np.empty((n + len(self.cat), *a.shape[1:], b.shape[-1]))
+        (num_a, cat_a), (num_b, cat_b) = a, b
+        n = len(num_a)
+        planes = np.empty((n + len(cat_a), *num_a.shape[1:], num_b.shape[-1]))
         terms = planes[:n]
-        np.subtract(a[..., :, None], b[..., None, :], out=terms)
+        np.subtract(num_a[..., :, None], num_b[..., None, :], out=terms)
         np.abs(terms, out=terms)
         terms /= self.ranges.reshape(-1, *(1,) * (terms.ndim - 1))
-        a = self.cat[:, rows]
-        b = a if cols is rows else self.cat[:, cols]
-        np.not_equal(a[..., :, None], b[..., None, :], out=planes[n:])
-        out = np.zeros(planes.shape[1:])
-        for plane in planes:
-            out += plane
+        np.not_equal(cat_a[..., :, None], cat_b[..., None, :], out=planes[n:])
+        if np.prod(planes.shape[1:]) == 1:
+            out = np.zeros(planes.shape[1:])
+            for plane in planes:
+                out += plane
+        else:
+            out = np.add.reduce(planes, axis=0)
         out /= self.denom
         return out
 
-    def assign_values(self, medoids: np.ndarray, rows) -> np.ndarray:
-        """Distances from the points at ``rows`` to the medoids; any subset
-        equals the same entries of the whole matrix, bit for bit."""
-        return self.cross(rows, medoids)
+    def assigner(self, medoids: np.ndarray):
+        """Distances from the points at ``rows`` to the medoids, as a function
+        of ``rows``; the medoid columns are gathered once per call. Any
+        subset equals the same entries of the whole matrix, bit for bit."""
+        m = self.take(medoids)
+        return lambda rows: self.cross(self.take(rows), m)
 
     @staticmethod
     def finalize(values: np.ndarray) -> np.ndarray:
@@ -262,6 +346,10 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
     starts = np.cumsum(todo) - todo
     for s in np.unique(todo[todo > 0]):
         clusters = np.nonzero(todo == s)[0]
+        if s == 1:
+            # a one-member cluster keeps its member, with no distance to sum
+            new[clusters] = order[starts[clusters]]
+            continue
         per_block = max(1, _BATCH_LIMIT // (s * s))
         step = max(1, _BATCH_LIMIT // s)
         for first in range(0, len(clusters), per_block):
@@ -277,20 +365,23 @@ def _tiled_sums(handler, members: np.ndarray, w: np.ndarray, step: int) -> np.nd
     of shape (g, s), from the tiles on and above the diagonal of each
     cluster's s x s matrix.
 
-    The members are cut into slices of ``step``. A diagonal tile is
-    ``cross(m_i, m_i)``, one operand for BLAS's symmetric path; an
-    off-diagonal tile ``cross(m_i, m_j)`` adds its row sums to slice i and
-    its column sums to slice j, as d(i, j) == d(j, i). Each member pair is
-    computed once. When ``step >= s`` the one tile is ``cross(m, m) @ w``,
-    and adding it to zeros keeps its bits, as distance sums are never
-    negative.
+    The group's operand is taken once and its tiles are slices of it, cut
+    every ``step`` members. A diagonal tile is ``cross(m_i, m_i)``, one
+    operand for BLAS's symmetric path; an off-diagonal tile
+    ``cross(m_i, m_j)`` adds its row sums to slice i and its column sums to
+    slice j, as d(i, j) == d(j, i). Each member pair is computed once. When
+    ``step >= s`` the one tile's ``cross(m, m) @ w`` is the result: adding
+    it to zeros would keep its bits, as distance sums are never negative.
     """
     s = members.shape[1]
+    taken = handler.take(members)
+    if step >= s:
+        return (handler.cross(taken, taken) @ w)[..., 0]
     sums = np.zeros(members.shape)
     for i in range(0, s, step):
-        rows = members[:, i:i + step]
+        rows = handler.tile(taken, slice(i, i + step))
         for j in range(i, s, step):
-            cols = rows if j == i else members[:, j:j + step]
+            cols = rows if j == i else handler.tile(taken, slice(j, j + step))
             d = handler.cross(rows, cols)
             sums[:, i:i + step] += (d @ w[:, j:j + step])[..., 0]
             if j > i:
@@ -321,9 +412,8 @@ def cross_distances(x: np.ndarray, y: np.ndarray, spec: DistanceSpec | None = No
     if spec.kind == BINNED:
         stacked = bin_centers(stacked, spec.n_bins)
     handler = _handler(stacked, spec)
-    rows = np.arange(len(x))
-    cols = np.arange(len(x), len(stacked))
-    return handler.cross(rows, cols)
+    return handler.cross(handler.take(np.arange(len(x))),
+                         handler.take(np.arange(len(x), len(stacked))))
 
 
 # -- partitions ------------------------------------------------------------
@@ -511,15 +601,17 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
 def _nearest(handler, medoids: np.ndarray, rows: np.ndarray):
     """Each row's nearest medoid column (lowest index among ties) and its value.
 
-    Rows are taken in blocks of at most ``_BATCH_LIMIT`` elements, one row at
-    least; only the argmin column and its value are kept per row.
+    The medoid operand is built once per call. Rows are taken in blocks of at
+    most ``_BATCH_LIMIT`` elements, one row at least; only the argmin column
+    and its value are kept per row.
     """
     cols = np.empty(len(rows), dtype=np.int64)
     values = np.empty(len(rows))
+    values_to = handler.assigner(medoids)
     step = max(1, _BATCH_LIMIT // len(medoids))
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
-        dist = handler.assign_values(medoids, rows[block])
+        dist = values_to(rows[block])
         cols[block] = np.argmin(dist, axis=1)
         values[block] = dist[np.arange(len(dist)), cols[block]]
     return cols, values

@@ -97,32 +97,85 @@ def weekly_spend(store: EventStore, entity_codes: np.ndarray,
 
 # -- linear-fit summaries --------------------------------------------------
 
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum ``terms`` over its first axis in the order that numpy's
+    ``add.reduce`` (its ``pairwise_sum``) uses along a contiguous axis; the
+    order is written out in :func:`linear_fit_batch`. Each running sum here
+    starts from 0.0, where numpy adds its pairwise result to 0.0 at the end:
+    the two differ only in the sign of a zero before that last addition,
+    which it removes, so every entry has numpy's bits.
+    """
+    n = len(terms)
+    if n < 8:
+        return np.add.reduce(terms, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    body = n - n % 8
+    r = np.add.reduce(terms[:body].reshape(body // 8, 8, *terms.shape[1:]), axis=0)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[body:]:
+        total += term
+    return total
+
+
 def linear_fit_batch(matrices: np.ndarray) -> np.ndarray:
     """Fit each row of each of a (batch, rows, weeks) array of matrices;
-    returns (batch, 3 * rows) as [slopes|intercepts|residuals]."""
+    returns (batch, 3 * rows) as [slopes|intercepts|residuals].
+
+    The fit works on week planes, one (batch, rows) array per week, so each
+    step is one pass over the batch and each sum over n weeks adds whole
+    planes. Every value has the bits of the row-wise fit (``mean`` and
+    ``sum`` over the last axis of a C-ordered batch), because the sums add
+    the planes in numpy's pairwise order:
+
+    - below 8 weeks, a running sum from 0.0 in week order; for the usual 3
+      weeks, ((0.0 + w0) + w1) + w2;
+    - from 8 to 128 weeks, eight running sums r0..r7, where rj adds weeks j,
+      j + 8, j + 16, ..., then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+      r7)), then the last n mod 8 weeks one at a time;
+    - past 128 weeks, the first n // 2 weeks rounded down to a multiple of
+      8 and the rest, each summed by these rules, then added.
+    """
     matrices = np.asarray(matrices, dtype=float)
     if matrices.ndim != 3:
         raise ValueError(f"expected a (batch, rows, weeks) array, got shape {matrices.shape}")
-    n_weeks = matrices.shape[2]
+    batch, rows, n_weeks = matrices.shape
     if n_weeks < 2:
         raise ValueError("need at least two week columns to fit a line")
     x = np.arange(n_weeks, dtype=float)
     xc = x - x.mean()
     var = float(xc @ xc)
-    ym = matrices.mean(axis=2)
-    slope = (matrices * xc).sum(axis=2) / var
-    intercept = ym - slope * x.mean()
-    fitted = slope[..., None] * x + intercept[..., None]
-    residual = np.sqrt(((matrices - fitted) ** 2).mean(axis=2))
-    return np.concatenate([slope, intercept, residual], axis=1)
+    weeks = np.moveaxis(matrices, 2, 0).copy()
+    out = np.empty((3, batch, rows))
+    slope, intercept, residual = out
+    terms = weeks * xc[:, None, None]
+    np.divide(_pairwise_sum(terms), var, out=slope)
+    np.divide(_pairwise_sum(weeks), n_weeks, out=intercept)
+    intercept -= slope * x.mean()
+    # fitted values slope * x + intercept, then squared residuals, in place
+    np.multiply.outer(x, slope, out=terms)
+    terms += intercept
+    weeks -= terms
+    weeks *= weeks
+    np.divide(_pairwise_sum(weeks), n_weeks, out=residual)
+    np.sqrt(residual, out=residual)
+    return np.moveaxis(out, 0, 1).reshape(batch, 3 * rows)
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:
-    """Z-score per column; constant columns map to zero."""
+    """Z-score per column; constant columns map to zero.
+
+    The column sums are taken once and the centred matrix serves both the
+    deviation and the result. These are ``np.std``'s own steps (sum, divide,
+    subtract, square, sum, divide, sqrt), so the values keep the bits of
+    ``(x - x.mean(axis=0)) / x.std(axis=0)``.
+    """
     x = np.asarray(x, dtype=float)
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
-    return (x - mu) / np.where(sd > 0, sd, 1.0)
+    centred = x - x.sum(axis=0) / len(x)
+    sd = np.sqrt((centred * centred).sum(axis=0) / len(x))
+    centred /= np.where(sd > 0, sd, 1.0)
+    return centred
 
 
 # -- invoice features ------------------------------------------------------

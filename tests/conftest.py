@@ -95,3 +95,58 @@ def mlp_gradients(model: OnlineMLP, x: np.ndarray, y: float) -> dict[str, np.nda
     d_hidden = delta * model.w_out * (1.0 - h ** 2)
     return {"w_hidden": np.outer(d_hidden, x), "b_hidden": d_hidden,
             "w_out": delta * h, "b_out": delta}
+
+
+# -- exact-kernel oracles --------------------------------------------------
+# The row-wise forms of the kernels that ``encoding`` and ``clustering``
+# compute with fewer passes. Each rewrite must give these bytes.
+
+def linear_fit_rowwise(matrices: np.ndarray) -> np.ndarray:
+    """Line fits of each row over the last (week) axis with numpy's own
+    reductions: the byte oracle for ``linear_fit_batch``."""
+    matrices = np.asarray(matrices, dtype=float)
+    n_weeks = matrices.shape[2]
+    x = np.arange(n_weeks, dtype=float)
+    xc = x - x.mean()
+    var = float(xc @ xc)
+    ym = matrices.mean(axis=2)
+    slope = (matrices * xc).sum(axis=2) / var
+    intercept = ym - slope * x.mean()
+    fitted = slope[..., None] * x + intercept[..., None]
+    residual = np.sqrt(((matrices - fitted) ** 2).mean(axis=2))
+    return np.concatenate([slope, intercept, residual], axis=1)
+
+
+def standardize_rowwise(x: np.ndarray) -> np.ndarray:
+    """Z-scores from ``mean`` and ``std``: the byte oracle for
+    ``standardize_columns``."""
+    x = np.asarray(x, dtype=float)
+    sd = x.std(axis=0)
+    return (x - x.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+
+
+def euclidean_cross_direct(handler, rows, cols) -> np.ndarray:
+    """Gram-expansion distances between index sets in separate passes: the
+    product, then times 2.0, the broadcast norm sums, the difference, the
+    clamp and the root. ``cols is rows`` gives one matmul operand, BLAS's
+    symmetric path. The byte oracle for ``_EuclideanHandler.cross``."""
+    a = handler.points[rows]
+    b = a if cols is rows else handler.points[cols]
+    d = a @ np.swapaxes(b, -1, -2)
+    d *= 2.0
+    sums = handler.norms[rows][..., :, None] + handler.norms[cols][..., None, :]
+    d = sums - d
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d)
+
+
+def euclidean_assign_direct(handler, medoids, rows) -> np.ndarray:
+    """Squared distances from the points at ``rows`` to the medoids, with the
+    medoid rows gathered for the block and -2 applied to the product: the
+    byte oracle for ``_EuclideanHandler.assigner``."""
+    sq = handler.points[rows] @ handler.points[medoids].T
+    sq *= -2.0
+    sq += handler.norms[rows][:, None]
+    sq += handler.norms[medoids][None, :]
+    np.maximum(sq, 0.0, out=sq)
+    return sq

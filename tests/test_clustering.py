@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import euclidean_assign_direct, euclidean_cross_direct
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -131,6 +132,13 @@ def test_distance_validates_inputs():
         cross_distances(np.zeros((1, 2)), np.zeros((1, 2)), gower_spec([False]))
 
 
+def _cross(handler, rows, cols):
+    """A handler's ``cross`` between index sets, on one operand when ``cols
+    is rows``."""
+    a = handler.take(rows)
+    return handler.cross(a, a if cols is rows else handler.take(cols))
+
+
 def _gower_column_loop(points, mask, rows, cols):
     """Gower distances one column at a time, numeric columns then categorical
     ones, each added to a sum that starts at 0.0: the oracle for the bits of
@@ -201,7 +209,7 @@ def test_gower_cross_matches_the_column_loop(case):
                    (members, members[:, :1].copy())]
     with np.errstate(invalid="ignore"):  # inf - inf in a numeric column
         handler = clustering._handler(pts, gower_spec(mask))
-        results = [(handler.cross(rows, cols), _gower_column_loop(pts, mask, rows, cols))
+        results = [(_cross(handler, rows, cols), _gower_column_loop(pts, mask, rows, cols))
                    for rows, cols in blocks]
     for (rows, cols), (got, want) in zip(blocks, results):
         assert got.shape == want.shape, (rows, cols)
@@ -449,7 +457,7 @@ def test_self_cross_distances_are_exactly_symmetric():
     members = np.arange(400).reshape(50, 8)
     for handler in (clustering._EuclideanHandler(pts),
                     clustering._handler(pts, gower_spec([False] * 6 + [True]))):
-        d = handler.cross(members, members)
+        d = _cross(handler, members, members)
         assert d.shape == (50, 8, 8)
         assert np.array_equal(d, np.swapaxes(d, 1, 2))
 
@@ -521,7 +529,7 @@ def _full_recompute_work(points, k, spec, seed, max_iter, init, weights):
     handler = clustering._handler(points, spec)
 
     def assign(medoids):
-        values = handler.assign_values(medoids, slice(None))
+        values = handler.assigner(medoids)(slice(None))
         assignment = np.argmin(values, axis=1).astype(np.int64)
         assignment[medoids] = np.arange(len(medoids))
         mind = handler.finalize(values[np.arange(n), assignment])
@@ -605,11 +613,15 @@ def test_assignment_blocks_stay_within_the_batch_limit(kind, monkeypatch):
     limit = 50
     shapes = []
     for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
-        def record(self, medoids, rows, _orig=cls.assign_values):
-            block = _orig(self, medoids, rows)
-            shapes.append(block.shape)
-            return block
-        monkeypatch.setattr(cls, "assign_values", record)
+        def record(self, medoids, _orig=cls.assigner):
+            values = _orig(self, medoids)
+
+            def recorded(rows):
+                block = values(rows)
+                shapes.append(block.shape)
+                return block
+            return recorded
+        monkeypatch.setattr(cls, "assigner", record)
     monkeypatch.setattr(clustering, "_BATCH_LIMIT", limit)
     pts, spec = _exact_case(kind)
     for k in (1, 4, 15, 70):
@@ -624,8 +636,8 @@ def test_assignment_blocks_stay_within_the_batch_limit(kind, monkeypatch):
 
 
 def _record_reassign(monkeypatch):
-    """Per ``_reassign`` call, its medoids and every ``assign_values`` block
-    it requests, as (rows, medoid count)."""
+    """Per ``_reassign`` call, its medoids and every assignment block it
+    requests from a handler's ``assigner``, as (rows, medoid count)."""
     calls = []
 
     def reassign(handler, medoids, *args, _orig=clustering._reassign):
@@ -633,10 +645,14 @@ def _record_reassign(monkeypatch):
         return _orig(handler, medoids, *args)
     monkeypatch.setattr(clustering, "_reassign", reassign)
     for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
-        def record(self, medoids, rows, _orig=cls.assign_values):
-            calls[-1][1].append((np.asarray(rows).copy(), len(medoids)))
-            return _orig(self, medoids, rows)
-        monkeypatch.setattr(cls, "assign_values", record)
+        def record(self, medoids, _orig=cls.assigner):
+            values = _orig(self, medoids)
+
+            def recorded(rows):
+                calls[-1][1].append((np.asarray(rows).copy(), len(medoids)))
+                return values(rows)
+            return recorded
+        monkeypatch.setattr(cls, "assigner", record)
     return calls
 
 
@@ -867,7 +883,7 @@ def test_tiled_medoid_update_matches_the_oracle(kind, monkeypatch):
     assert len(blocks) == len(calls)
     for (shape, same), (members, w, sums) in zip(blocks, calls):
         assert same and shape == (*members.shape, members.shape[1])
-        assert np.array_equal(sums, (handler.cross(members, members) @ w)[..., 0])
+        assert np.array_equal(sums, (_cross(handler, members, members) @ w)[..., 0])
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "gower"])
@@ -891,12 +907,184 @@ def test_medoid_update_matches_each_clusters_own_product(kind, monkeypatch):
     want = np.empty(k, dtype=np.int64)
     for c in range(k):
         members = np.nonzero(assignment == c)[0]
-        want[c] = members[np.argmin(handler.cross(members, members) @ weights[members])]
+        want[c] = members[np.argmin(_cross(handler, members, members) @ weights[members])]
     blocks = []
     _record_cross(monkeypatch, blocks)
     got = clustering._medoid_update(handler, assignment, k, weights)
     assert np.array_equal(got, want)
     assert all(same and r == s for (_, r, s), same in blocks), blocks
+
+
+# -- exact kernel rewrites ------------------------------------------------
+# ``_EuclideanHandler`` folds its factors 2 and -2 into an operand and forms
+# norm sums as a K = 2 product; ``_GowerHandler`` adds its planes with one
+# reduce. Each must keep the bytes of the separate passes in conftest.
+
+def _real_points(n: int, d: int, seed: int, scale: float, offset: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d)) * scale + offset * scale
+
+
+def _lattice_points(n: int, d: int, seed: int) -> np.ndarray:
+    """Bin centres of 3 bins over normal points: a lattice with duplicate
+    rows and many equidistant pairs, so exact ties are common."""
+    return bin_centers(np.random.default_rng(seed).normal(size=(n, d)), 3)
+
+
+_points = st.one_of(
+    st.builds(_real_points, st.integers(2, 120), st.integers(1, 45),
+              st.integers(0, 2**32 - 1), st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]),
+              st.sampled_from([0.0, 1.0, 5.0])),
+    st.builds(_lattice_points, st.integers(2, 120), st.integers(1, 6), st.integers(0, 2**32 - 1)))
+
+
+def _index_sets(n: int, seed: int):
+    """(rows, cols) pairs of 1-D index sets and of (g, s) diagonal and
+    off-diagonal tiles over n points."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    a = perm[:rng.integers(1, n + 1)]
+    b = rng.permutation(n)[:rng.integers(1, n + 1)]
+    pairs = [(a, a), (a, b), (b, a)]
+    for g in {1, 2, max(1, n // 4)}:
+        s = n // g
+        members = perm[:g * s].reshape(g, s)
+        half = max(1, s // 2)
+        pairs += [(members, members), (members[:, :half], members[:, half:]),
+                  (members[:, half:], members[:, :half])]
+    return [(rows, cols) for rows, cols in pairs if rows.size and cols.size]
+
+
+def _cross_cases():
+    real = _real_points(600, 42, 7, 3.0, 5.0)
+    members = np.random.default_rng(8).permutation(600)
+    # a 524-member cluster in 262-member tiles, as shop-rho1024 cuts them
+    return [(real, members[:262], members[262:524]), (real, members[:262], members[:262])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=_points, seed=st.integers(0, 2**32 - 1))
+def test_euclidean_cross_has_the_bytes_of_separate_passes(pts, seed):
+    handler = clustering._EuclideanHandler(pts)
+    for rows, cols in _index_sets(len(pts), seed):
+        got = _cross(handler, rows, cols)
+        want = euclidean_cross_direct(handler, rows, cols)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (rows.shape, cols.shape, cols is rows)
+
+
+@pytest.mark.parametrize("case", range(2), ids=["off-diagonal", "diagonal"])
+def test_euclidean_cross_keeps_the_bytes_of_a_full_tile(case):
+    pts, rows, cols = _cross_cases()[case]
+    cols = rows if case else cols
+    handler = clustering._EuclideanHandler(pts)
+    got = _cross(handler, rows[None], rows[None] if case else cols[None])
+    assert got.tobytes() == euclidean_cross_direct(handler, rows[None],
+                                                   rows[None] if case else cols[None]).tobytes()
+    assert _cross(handler, rows, cols).tobytes() == euclidean_cross_direct(handler, rows,
+                                                                           cols).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=_points, m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_cross_distances_has_the_bytes_of_separate_passes(pts, m, seed):
+    # 1-D index sets into the stacked rows of both sets
+    y = np.random.default_rng(seed).permutation(pts)[:m]
+    handler = clustering._EuclideanHandler(np.vstack([pts, y]))
+    want = euclidean_cross_direct(handler, np.arange(len(pts)),
+                                  np.arange(len(pts), len(pts) + len(y)))
+    assert cross_distances(pts, y).tobytes() == want.tobytes()
+
+
+def _nearest_direct(handler, medoids, rows, step):
+    """Nearest medoid column and value per row from the oracle's blocks of
+    ``step`` rows, lowest column among ties."""
+    cols, values = [], []
+    for start in range(0, len(rows), step):
+        dist = euclidean_assign_direct(handler, medoids, rows[start:start + step])
+        best = np.argmin(dist, axis=1)
+        cols.append(best)
+        values.append(dist[np.arange(len(dist)), best])
+    return np.concatenate(cols), np.concatenate(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=_points, k=st.integers(1, 60), step=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_nearest_has_the_bytes_of_per_block_products(pts, k, step, seed):
+    # several blocks per call: the medoid operand, built once, must give
+    # every block the bits of its own gather and -2 pass
+    rng = np.random.default_rng(seed)
+    k = min(k, len(pts))
+    medoids = rng.choice(len(pts), size=k, replace=False)
+    rows = rng.permutation(len(pts))
+    handler = clustering._EuclideanHandler(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_BATCH_LIMIT", step * k)
+        cols, values = clustering._nearest(handler, medoids, rows)
+    want_cols, want_values = _nearest_direct(handler, medoids, rows, step)
+    assert np.array_equal(cols, want_cols)
+    assert values.tobytes() == want_values.tobytes()
+
+
+def test_nearest_keeps_the_bytes_of_shop_sized_blocks():
+    # 1 000 medoids of 2 000 42-d points: blocks of 262 rows at the default
+    # limit, the shape of shop-rho2's first assignment round
+    pts = _real_points(2000, 42, 3, 1.0, 0.0)
+    medoids = np.arange(0, 2000, 2)
+    rows = np.arange(1, 2000, 2)
+    handler = clustering._EuclideanHandler(pts)
+    cols, values = clustering._nearest(handler, medoids, rows)
+    want_cols, want_values = _nearest_direct(handler, medoids, rows,
+                                             clustering._BATCH_LIMIT // len(medoids))
+    assert np.array_equal(cols, want_cols)
+    assert values.tobytes() == want_values.tobytes()
+
+
+def test_nearest_breaks_lattice_ties_to_the_lowest_column():
+    # every point lies on a 3-bin lattice in 2-d, so equidistant medoids are
+    # common; values are exact and the lowest tied column must win
+    pts = _lattice_points(300, 2, 4)
+    handler = clustering._EuclideanHandler(pts)
+    medoids = np.random.default_rng(5).choice(300, size=40, replace=False)
+    rows = np.arange(300)
+    dist = euclidean_assign_direct(handler, medoids, rows)
+    ties = (dist == dist.min(axis=1, keepdims=True)).sum(axis=1)
+    assert (ties > 1).sum() > 100
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_BATCH_LIMIT", 7 * len(medoids))
+        cols, values = clustering._nearest(handler, medoids, rows)
+    assert np.array_equal(cols, np.argmin(dist, axis=1))
+    assert values.tobytes() == dist.min(axis=1).tobytes()
+
+
+def test_gower_one_element_block_adds_its_planes_in_column_order():
+    # a 1 x 1 block of 13 planes is one contiguous run of 13 values, which a
+    # reduce would sum pairwise; the column order must hold for every pair,
+    # and for some pairs here the pairwise order rounds differently
+    pts, mask = _gower_example(12, 10, 3, seed=1)
+    handler = clustering._handler(pts, gower_spec(mask))
+    pairwise_differs = 0
+    for i, j in combinations(range(len(pts)), 2):
+        rows, cols = np.array([i]), np.array([j])
+        got = _cross(handler, rows, cols)
+        assert got.tobytes() == _gower_column_loop(pts, mask, rows, cols).tobytes()
+        (num_a, cat_a), (num_b, cat_b) = handler.take(rows), handler.take(cols)
+        terms = np.concatenate([(np.abs(num_a - num_b) / handler.ranges[:, None]).ravel(),
+                                (cat_a != cat_b).ravel().astype(float)])
+        pairwise_differs += np.add.reduce(terms) / handler.denom != got.item()
+    assert pairwise_differs
+
+
+def test_one_member_cluster_keeps_its_member_without_a_distance(monkeypatch):
+    blocks = []
+    _record_cross(monkeypatch, blocks)
+    pts, spec = _exact_case("gower")
+    handler = clustering._handler(pts, spec)
+    assignment = np.arange(len(pts)) % 3
+    assignment[7] = 3
+    got = clustering._medoid_update(handler, assignment, 4, np.ones(len(pts)))
+    assert got[3] == 7
+    assert all(shape[-1] > 1 for shape, _ in blocks)
 
 
 # -- random partitions -----------------------------------------------------

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import Event, store_from_events
+from conftest import Event, linear_fit_rowwise, standardize_rowwise, store_from_events
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxystream.encoding import (
     JOURNEY_AGGREGATE_ROWS,
@@ -207,6 +209,46 @@ def test_linear_fit_needs_two_columns():
 def test_linear_fit_takes_only_a_batch_of_matrices(shape):
     with pytest.raises(ValueError, match=r"\(batch, rows, weeks\)"):
         linear_fit_batch(np.ones(shape))
+
+
+def _mixed_values(rng: np.random.Generator, shape) -> np.ndarray:
+    """Signed values with magnitudes from 1e-6 to 1e6, a fifth of them exact
+    zeros (some -0.0), so sums over rows of one scale and over rows that
+    span twelve decades both occur."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    zeros = rng.random(shape) < 0.2
+    x[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return x
+
+
+@settings(max_examples=120, deadline=None)
+@example(weeks=3, batch=2000, rows=14, seed=0)      # the supermarket shape
+@example(weeks=8, batch=5, rows=2, seed=1)          # eight running sums, no rest
+@example(weeks=17, batch=5, rows=2, seed=2)         # two rounds of eight and a rest
+@example(weeks=40, batch=3000, rows=1, seed=3)
+@example(weeks=150, batch=4, rows=2, seed=4)        # halves past 128 weeks
+@example(weeks=300, batch=2, rows=1, seed=5)
+@example(weeks=5, batch=0, rows=3, seed=6)          # an empty batch
+@given(weeks=st.integers(2, 40), batch=st.integers(0, 3000), rows=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_linear_fit_batch_has_the_rowwise_bytes(weeks, batch, rows, seed):
+    # the week-plane fit adds planes in numpy's pairwise order, so it must
+    # give the bytes of numpy's reductions over a C-ordered week axis
+    mats = _mixed_values(np.random.default_rng(seed), (batch, rows, weeks))
+    got = linear_fit_batch(mats)
+    assert got.shape == (batch, 3 * rows)
+    assert got.tobytes() == linear_fit_rowwise(mats).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 300), cols=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_standardize_columns_has_the_mean_and_std_bytes(n, cols, seed, layout):
+    rng = np.random.default_rng(seed)
+    x = _mixed_values(rng, (2 * n, cols)) + rng.integers(-3, 4, cols)
+    x[:, rng.random(cols) < 0.2] = 2.5          # constant columns
+    x = {"C": x[:n], "F": np.asfortranarray(x[:n]), "strided": x[::2]}[layout]
+    assert standardize_columns(x).tobytes() == standardize_rowwise(x).tobytes()
 
 
 def test_standardize_columns():
