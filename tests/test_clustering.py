@@ -955,13 +955,6 @@ def _index_sets(n: int, seed: int):
     return [(rows, cols) for rows, cols in pairs if rows.size and cols.size]
 
 
-def _cross_cases():
-    real = _real_points(600, 42, 7, 3.0, 5.0)
-    members = np.random.default_rng(8).permutation(600)
-    # a 524-member cluster in 262-member tiles, as shop-rho1024 cuts them
-    return [(real, members[:262], members[262:524]), (real, members[:262], members[:262])]
-
-
 @settings(max_examples=150, deadline=None)
 @given(pts=_points, seed=st.integers(0, 2**32 - 1))
 def test_euclidean_cross_has_the_bytes_of_separate_passes(pts, seed):
@@ -973,16 +966,17 @@ def test_euclidean_cross_has_the_bytes_of_separate_passes(pts, seed):
         assert got.tobytes() == want.tobytes(), (rows.shape, cols.shape, cols is rows)
 
 
-@pytest.mark.parametrize("case", range(2), ids=["off-diagonal", "diagonal"])
-def test_euclidean_cross_keeps_the_bytes_of_a_full_tile(case):
-    pts, rows, cols = _cross_cases()[case]
-    cols = rows if case else cols
+def test_euclidean_cross_keeps_the_bytes_of_full_tiles():
+    # 262-member tiles of 42-d points, as shop-rho1024 cuts a 524-member
+    # cluster, alone and as a group of one
+    pts = _real_points(600, 42, 7, 3.0, 5.0)
+    members = np.random.default_rng(8).permutation(600)
+    a, b = members[:262], members[262:524]
+    group = a[None]
     handler = clustering._EuclideanHandler(pts)
-    got = _cross(handler, rows[None], rows[None] if case else cols[None])
-    assert got.tobytes() == euclidean_cross_direct(handler, rows[None],
-                                                   rows[None] if case else cols[None]).tobytes()
-    assert _cross(handler, rows, cols).tobytes() == euclidean_cross_direct(handler, rows,
-                                                                           cols).tobytes()
+    for rows, cols in ((a, b), (a, a), (group, b[None]), (group, group)):
+        got = _cross(handler, rows, cols)
+        assert got.tobytes() == euclidean_cross_direct(handler, rows, cols).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
