@@ -8,6 +8,10 @@ reach the multi-tile medoid update; ``shop-rho1024`` sums clusters of up to
 of the ``steps.csv`` rows, so an exact kernel rewrite must keep every bit of
 every prediction. The configs are written out here rather than imported, so
 that the pin does not move with the benchmark's own files.
+
+The hashes were recorded with numpy 2.4.6 on scipy-openblas 0.3.31; another
+BLAS build may round the Gram products differently and move them, as it
+would move the golden files.
 """
 from __future__ import annotations
 
