@@ -1,4 +1,5 @@
-"""Byte pin of the three supermarket benchmark workloads at seed 0.
+"""Byte pin of the three supermarket benchmark workloads and of both trivial
+partitions at seed 0.
 
 The golden configs hold no cluster of more than 512 members, so they never
 reach the multi-tile medoid update; ``shop-rho1024`` sums clusters of up to
@@ -7,7 +8,9 @@ reach the multi-tile medoid update; ``shop-rho1024`` sums clusters of up to
 1024) through ``execute_run`` and pins the sha256 of ``ledger.records`` and
 of the ``steps.csv`` rows, so an exact kernel rewrite must keep every bit of
 every prediction. The configs are written out here rather than imported, so
-that the pin does not move with the benchmark's own files.
+that the pin does not move with the benchmark's own files. Two RLS cases pin
+the ends of the rho range, where the partition is known before any distance:
+rho 1 (every shopper its own cluster) and rho "all" (one cluster).
 
 The hashes were recorded with numpy 2.4.6 on scipy-openblas 0.3.31; another
 BLAS build may round the Gram products differently and move them, as it
@@ -24,7 +27,7 @@ import pytest
 from proxystream.sweep import execute_run, run_config_from_dict
 
 
-def _shop(rho: int, model: str | None = None) -> dict:
+def _shop(rho: int | str, model: str | None = None) -> dict:
     cfg = {"use_case": "supermarket", "rho": rho, "tau": 3, "seed": 0,
            "t_start": 4, "t_end": 29,
            "generator": {"kind": "shopper", "preset": "archetype",
@@ -48,6 +51,14 @@ PINS = {
         _shop(1024),
         "d5e915be3a5aa4bf0cd56a6dd7e617225c40c89917be35bea81f49840360e71a",
         "7c7f9b8c75a468ee2af636979c9e76cd3e7f713a6b0753350cf898514328118b"),
+    "shop-rho1-rls": (
+        _shop(1),
+        "4ebc98fed7cf02ff9124cd13e9bbc3896a8c6824c7a08f53785eca4192171d2f",
+        "ea8d1523f25b75560ce9d54bdc9c4cb3d319cf2d2f455e08221446ad14059d40"),
+    "shop-rhoall-rls": (
+        _shop("all"),
+        "1804736f71f4f6e113ba0778a647649fe5291e20fb645b917a61737f9af85986",
+        "1ef105b7a8ab3c57a381c18da71ba435846de53e0af7c384d3b4b9bd8257eb18"),
 }
 
 
