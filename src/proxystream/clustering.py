@@ -66,10 +66,12 @@ in products of other shapes, or at another row offset.
 
 Determinism contract: identical inputs and seed give identical partitions.
 Ties in assignment go to the lowest cluster index, ties in the medoid update
-to the lowest member index, and the k == n and k == 1 paths never draw from
-the RNG. At k == n, point i is cluster i for every distance kind, and
-``random_partition`` gives the same identity, so ``rho = 1`` is the
-per-entity path whichever kind and partitioner a run uses.
+to the lowest member index. The two trivial partitions are known before any
+distance, so neither computes one or draws from the RNG, for every distance
+kind and both partitioners. At k == n, point i is cluster i and its own
+medoid, so ``rho = 1`` is the per-entity path whichever kind and partitioner
+a run uses. At k == 1 every point is in cluster 0, with no medoid and an
+empty cost history.
 """
 from __future__ import annotations
 
@@ -463,12 +465,15 @@ def random_partition(n_points: int, k: int,
                      seed: int | np.random.SeedSequence | np.random.Generator = 0) -> Partition:
     """Uniform assignment with one anchor point per cluster, so no cluster
     is empty by construction. No medoids. At k == n_points every point is
-    its own cluster, in index order, and nothing is drawn."""
+    its own cluster, in index order, and at k == 1 every point is in
+    cluster 0; neither draws anything."""
     check_int("k", k, 1)
     if k > n_points:
         raise ValueError(f"need 1 <= k <= n_points, got k={k}, n={n_points}")
     if k == n_points:
         return Partition(n_points=n_points, k=k, assignment=np.arange(k, dtype=np.int64))
+    if k == 1:
+        return Partition(n_points=n_points, k=1, assignment=np.zeros(n_points, dtype=np.int64))
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, k, n_points)
     anchors = rng.choice(n_points, size=k, replace=False)
@@ -503,10 +508,14 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     bin-center representative are collapsed into one weighted point first;
     distances and costs are then measured between representatives. If fewer
     distinct representatives than k exist, the uncollapsed
-    representative-valued points are clustered instead. At k == n every
-    point is its own cluster, numbered in index order (or in
-    ``init_medoids`` order), for every distance kind. The k == n and k == 1
-    paths are deterministic and draw nothing from the RNG.
+    representative-valued points are clustered instead.
+
+    The trivial partitions compute no distance and draw nothing from the
+    RNG, for every distance kind, so their ``points`` may have no columns.
+    At k == n every point is its own cluster and medoid, numbered in index
+    order (or in ``init_medoids`` order), with cost history ``[0.0]``. At
+    k == 1 every point is in cluster 0, with ``medoids=None`` and an empty
+    cost history.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -531,6 +540,9 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     spec = spec or euclidean_spec()
     if k == n:
         return _singleton_partition(n, init_medoids)
+    if k == 1:
+        return Partition(n_points=n, k=1, assignment=np.zeros(n, dtype=np.int64),
+                         cost_history=[])
 
     # binned kind: collapse duplicate representatives into weighted points,
     # each standing for its first member
@@ -563,12 +575,6 @@ def _k_medoids_work(points: np.ndarray, k: int, spec: DistanceSpec, seed,
     # round 1 is an incremental round in which every cluster has moved, so
     # every point but a medoid gets a full row
     assignment, best, moved = np.zeros(n, dtype=np.int64), np.zeros(n), np.arange(k)
-
-    if k == 1:
-        medoids = _medoid_update(handler, assignment, 1, weights)
-        cost = _reassign(handler, medoids, weights, assignment, best, moved)
-        return Partition(n, 1, assignment, medoids, [cost])
-
     if init is None:
         rng = np.random.default_rng(seed)
         medoids = rng.choice(n, size=k, replace=False).astype(np.int64)
@@ -661,26 +667,40 @@ def proxy_matrices(partition: Partition, features: np.ndarray,
     Returns (proxy_features, proxy_outcomes, sizes), where row j is cluster j
     and ``sizes[j]`` its member count; proxy_outcomes is None when no
     outcomes are given. An empty cluster has no mean and raises ValueError.
+
+    Each cluster's rows are summed in index order from 0.0, as ``np.add.at``
+    does, and divided by the size. At k == n each cluster is one row, whose
+    mean is that sum, the row plus 0.0 (which turns -0.0 into 0.0), so the
+    row is written into place and nothing is summed or divided.
     """
     features = np.asarray(features, dtype=float)
     if features.shape[0] != partition.n_points:
         raise ValueError("features row count does not match the partition")
+    if outcomes is not None:
+        outcomes = np.asarray(outcomes, dtype=float)
+        if outcomes.shape != (partition.n_points,):
+            raise ValueError("outcomes must hold one value per row of the partition")
     sizes = partition.sizes()
     if (sizes == 0).any():
         raise ValueError("empty cluster: a proxy needs at least one member")
 
-    # bincount sums each cluster's rows in index order from 0.0, as np.add.at does
-    sums = np.empty((partition.k, features.shape[1]))
-    for j, column in enumerate(features.T):
-        sums[:, j] = np.bincount(partition.assignment, weights=column, minlength=partition.k)
-    proxy_features = sums / sizes[:, None]
+    proxy_outcomes = None if outcomes is None else _cluster_means(partition, outcomes, sizes)
+    return _cluster_means(partition, features, sizes), proxy_outcomes, sizes
 
-    proxy_outcomes = None
-    if outcomes is not None:
-        outcomes = np.asarray(outcomes, dtype=float)
-        proxy_outcomes = np.bincount(partition.assignment, weights=outcomes,
-                                     minlength=partition.k) / sizes
-    return proxy_features, proxy_outcomes, sizes
+
+def _cluster_means(partition: Partition, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of the rows of ``values`` (1-d or 2-d) in each cluster."""
+    assignment, k = partition.assignment, partition.k
+    if k == partition.n_points:
+        out = np.empty_like(values)
+        out[assignment] = values + 0.0
+        return out
+    if values.ndim == 1:
+        return np.bincount(assignment, weights=values, minlength=k) / sizes
+    sums = np.empty((k, values.shape[1]))
+    for j, column in enumerate(values.T):
+        sums[:, j] = np.bincount(assignment, weights=column, minlength=k)
+    return sums / sizes[:, None]
 
 
 def mean_medoid_gap(n: int, d: int, samples: int = 1000, seed: int = 0) -> float:

@@ -158,18 +158,45 @@ class OnlineMLP:
         return self._forward(x)
 
     def update(self, x: np.ndarray, y: np.ndarray) -> None:
+        """One SGD step per row and epoch. Each step is the float operations
+        of ``w -= lr * gradient`` in this order, the gradients all taken at
+        the weights before the step:
+
+            h = tanh(w_hidden . row + b_hidden)
+            delta = (h . w_out + b_out) - y
+            d_hidden = (delta * w_out) * (1 - h * h)
+            w_hidden -= lr * (d_hidden[:, None] * row)
+            b_hidden -= lr * d_hidden
+            w_out -= lr * (delta * h)
+            b_out -= lr * delta
+
+        Products by a scalar commute exactly, so each is written into a
+        buffer allocated once per call.
+        """
         x, y = _check_batch(x, y, self.input_width)
         lr = self.learning_rate
         w_hidden, b_hidden, w_out = self.w_hidden, self.b_hidden, self.w_out
+        b_out = self.b_out
+        h, d_hidden, scratch = (np.empty(self.hidden) for _ in range(3))
+        step = np.empty_like(w_hidden)
         for _ in range(self.epochs):
-            for i in self._rng.permutation(len(x)):
-                # every gradient is taken at the weights before this step
-                row = x[i]
-                h = np.tanh(w_hidden @ row + b_hidden)
-                delta = float(h @ w_out + self.b_out) - float(y[i])
-                d_hidden = delta * w_out * (1.0 - h ** 2)
-                w_hidden -= lr * (d_hidden[:, None] * row)
-                b_hidden -= lr * d_hidden
-                w_out -= lr * (delta * h)
-                self.b_out -= lr * delta
+            perm = self._rng.permutation(len(x))
+            for row, target in zip(x[perm], y[perm].tolist()):
+                np.add(w_hidden.dot(row), b_hidden, out=h)
+                np.tanh(h, out=h)
+                delta = float(h.dot(w_out) + b_out) - target
+                np.multiply(h, h, out=scratch)
+                np.subtract(1.0, scratch, out=scratch)
+                np.multiply(w_out, delta, out=d_hidden)
+                d_hidden *= scratch
+                np.multiply(d_hidden[:, None], row, out=step)
+                step *= lr
+                w_hidden -= step
+                np.multiply(d_hidden, lr, out=scratch)
+                b_hidden -= scratch
+                np.multiply(h, delta, out=scratch)
+                scratch *= lr
+                w_out -= scratch
+                b_out -= lr * delta
+        self.b_out = b_out
         self.n_updates += 1

@@ -10,10 +10,17 @@ prediction, keyed by entity code (the id is ``store.entity_ids[code]``).
 
 Determinism: every random draw comes from a purpose-tagged
 ``SeedSequence(seed, spawn_key=...)``, so clustering draws cannot perturb
-model draws, and runs with identical inputs are identical. At rho = 1 each
-entity is its own cluster, numbered in batch order with no RNG draw, for
-every distance kind and both partitioners, so every proxy is its entity's
-row in the entity's place and the loop is the per-entity path.
+model draws, and runs with identical inputs are identical.
+
+The cluster count k of a batch of n entities is known before the batch is
+encoded, and the context builds clustering features only when 1 < k < n.
+The trivial partitions read none: the partitioner gets an (n, 0) array and
+returns without computing a distance or drawing from the RNG, for every
+distance kind and both partitioners. At rho = 1 each entity is its own
+cluster, numbered in batch order, so every proxy is its entity's row in the
+entity's place and the loop is the per-entity path. At rho = "all" (or a
+batch of at most rho entities) the batch is one cluster, its proxy the batch
+mean.
 """
 from __future__ import annotations
 
@@ -182,12 +189,17 @@ def run_stream(store, usecase, rho: int | str, *,
     regressor = init_model(spec, ctx.model_width,
                            np.random.SeedSequence(seed, spawn_key=(_MODEL_KEY,)))
 
-    def partition_batch(cluster_x: np.ndarray, phase: int, t: int) -> Partition:
-        k = 1 if rho == ALL_TOKEN else cluster_count(len(cluster_x), int(rho))
+    def encode_and_partition(codes: np.ndarray, window_end: float,
+                             phase: int, t: int) -> tuple[np.ndarray, Partition]:
+        n = len(codes)
+        k = 1 if rho == ALL_TOKEN else cluster_count(n, int(rho))
+        # a trivial partition reads no clustering features: it gets (n, 0)
+        model_x, cluster_x = ctx.encode_batch(codes, window_end, cluster_features=1 < k < n)
         cluster_seed = np.random.SeedSequence(seed, spawn_key=(_CLUSTER_KEY, phase, t))
         if partitioner == RANDOM:
-            return random_partition(len(cluster_x), k, cluster_seed)
-        return k_medoids(cluster_x, k, ctx.distance, seed=cluster_seed, max_iter=max_iter)
+            return model_x, random_partition(n, k, cluster_seed)
+        return model_x, k_medoids(cluster_x, k, ctx.distance, seed=cluster_seed,
+                                  max_iter=max_iter)
 
     ledger = EvaluationLedger()
     results: list[StepResult] = []
@@ -204,8 +216,7 @@ def run_stream(store, usecase, rho: int | str, *,
         else:
             codes = ctx.select_training(t)
             if len(codes):
-                model_x, cluster_x = ctx.encode_batch(codes, t - 1)
-                part = partition_batch(cluster_x, _PHASE_TRAIN, t)
+                model_x, part = encode_and_partition(codes, t - 1, _PHASE_TRAIN, t)
         res.n_train = len(codes)
         if len(codes):
             res.k_train = part.k
@@ -218,8 +229,7 @@ def run_stream(store, usecase, rho: int | str, *,
         res.n_pred = len(pred_codes)
         pmodel_x = ppart = None
         if len(pred_codes):
-            pmodel_x, pcluster_x = ctx.encode_batch(pred_codes, t)
-            ppart = partition_batch(pcluster_x, _PHASE_PREDICT, t)
+            pmodel_x, ppart = encode_and_partition(pred_codes, t, _PHASE_PREDICT, t)
             res.k_pred = ppart.k
 
             if regressor.n_updates == 0:

@@ -4,9 +4,9 @@ A use case holds only its settings; ``prepare(store)`` returns a context that
 owns every fact derived from the store: the default step range
 (``default_steps()``), the clustering distance (``distance``), which entities
 are selected for training and prediction at step t, how a selected batch is
-encoded (model features vs clustering features), what the training outcome
-is, and how pending predictions get their ground truth. The pipeline only
-talks to contexts.
+encoded (model features vs clustering features, the latter only on request),
+what the training outcome is, and how pending predictions get their ground
+truth. The pipeline only talks to contexts.
 
 Supermarket: steps are weeks. Training at t selects entities that started
 before week t - tau and were seen in [t - tau - 1, t - 1); their journey
@@ -100,11 +100,15 @@ class SupermarketContext:
     def select_prediction(self, t: float) -> np.ndarray:
         return self._selection(t - self.tau + 1, t - self.tau, t)
 
-    def encode_batch(self, codes: np.ndarray, window_end: float):
+    def encode_batch(self, codes: np.ndarray, window_end: float,
+                     cluster_features: bool = True):
         """Model features (flattened journey matrices) and clustering
-        features (z-scored per-row line coefficients) for one batch."""
+        features (z-scored per-row line coefficients) for one batch; without
+        ``cluster_features`` the second array has no columns."""
         tensors = encode_journeys(self.store, codes, window_end, self.tau)
         model_x = tensors.reshape(len(codes), -1)
+        if not cluster_features:
+            return model_x, np.empty((len(codes), 0))
         cluster_x = linear_fit_batch(tensors)
         if len(codes):
             cluster_x = standardize_columns(cluster_x)
@@ -168,9 +172,12 @@ class PaintFactoryContext:
     def select_prediction(self, t: float) -> np.ndarray:
         return self._in_window(self.creation_times, t)
 
-    def encode_batch(self, codes: np.ndarray, window_end: float):
+    def encode_batch(self, codes: np.ndarray, window_end: float,
+                     cluster_features: bool = True):
+        """One-hot model rows and mixed Gower rows for one batch; without
+        ``cluster_features`` the second array has no columns."""
         enc = invoice_encoding(self.store, codes, prefix_counts=self.prefix_counts)
-        return enc.onehot, enc.mixed
+        return enc.onehot, enc.mixed if cluster_features else enc.mixed[:, :0]
 
     def training_outcomes(self, codes: np.ndarray, t: float) -> np.ndarray:
         return self.durations[codes]

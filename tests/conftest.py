@@ -97,6 +97,28 @@ def mlp_gradients(model: OnlineMLP, x: np.ndarray, y: float) -> dict[str, np.nda
             "w_out": delta * h, "b_out": delta}
 
 
+def mlp_update_rowwise(model: OnlineMLP, x: np.ndarray, y: np.ndarray) -> None:
+    """``OnlineMLP.update``'s SGD loop written with a fresh array per
+    operation, on ``model``'s own weights and generator: the byte oracle for
+    the update, which must do these float operations in this order."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    lr = model.learning_rate
+    w_hidden, b_hidden, w_out = model.w_hidden, model.b_hidden, model.w_out
+    for _ in range(model.epochs):
+        for i in model._rng.permutation(len(x)):
+            # every gradient is taken at the weights before this step
+            row = x[i]
+            h = np.tanh(w_hidden @ row + b_hidden)
+            delta = float(h @ w_out + model.b_out) - float(y[i])
+            d_hidden = delta * w_out * (1.0 - h ** 2)
+            w_hidden -= lr * (d_hidden[:, None] * row)
+            b_hidden -= lr * d_hidden
+            w_out -= lr * (delta * h)
+            model.b_out -= lr * delta
+    model.n_updates += 1
+
+
 # -- exact-kernel oracles --------------------------------------------------
 # The row-wise forms of the kernels that ``encoding`` and ``clustering``
 # compute with fewer passes. Each rewrite must give these bytes.

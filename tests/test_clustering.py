@@ -279,13 +279,55 @@ def test_k_equals_n_is_the_identity_for_every_kind(spec):
     assert np.array_equal(part.assignment[init], np.arange(4))
 
 
+def _one_cluster(pts, spec=None, weights=None) -> Partition:
+    """Every point in cluster 0, with the medoid and cost that k-medoids' own
+    medoid update and assignment give that cluster. ``k_medoids`` returns
+    k == 1 with neither, so a test of the one-cluster medoid calls the
+    kernels here. Binned points are snapped to their bin centres, with no
+    duplicate collapse."""
+    spec = spec or euclidean_spec()
+    n = len(pts)
+    work = bin_centers(pts, spec.n_bins) if spec.kind == BINNED else pts
+    handler = clustering._handler(work, spec)
+    weights = np.ones(n) if weights is None else weights
+    assignment = np.zeros(n, dtype=np.int64)
+    medoids = clustering._medoid_update(handler, assignment, 1, weights)
+    cost = clustering._reassign(handler, medoids, weights, assignment, np.zeros(n),
+                                np.arange(1))
+    return Partition(n, 1, assignment, medoids, [cost])
+
+
+@pytest.mark.parametrize("spec", [euclidean_spec(), binned_spec(4),
+                                  gower_spec([False, False, True]), None],
+                         ids=["kmedoids-euclidean", "kmedoids-binned", "kmedoids-gower",
+                              "random"])
+def test_k_equals_one_is_all_zeros_without_distance_or_rng(spec, monkeypatch):
+    def no_distance(*args):
+        raise AssertionError("k == 1 built a distance handler")
+    monkeypatch.setattr(clustering, "_handler", no_distance)
+    rng = np.random.default_rng(9)
+    pts = np.column_stack([rng.normal(size=(20, 2)), rng.integers(0, 3, 20)])
+    for points in (pts, np.empty((20, 0))):  # no columns, as the pipeline passes
+        gen = np.random.default_rng(42)
+        before = gen.bit_generator.state
+        part = (random_partition(20, 1, seed=gen) if spec is None
+                else k_medoids(points, 1, spec, seed=gen))
+        assert gen.bit_generator.state == before
+        part.validate()
+        assert np.array_equal(part.assignment, np.zeros(20))
+        assert part.assignment.dtype == np.int64
+        assert part.medoids is None
+        assert part.cost_history == (None if spec is None else [])
+
+
 def test_k_equals_one_matches_brute_force_without_rng():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(20, 4))
     gen = np.random.default_rng(42)
     before = gen.bit_generator.state
-    part = k_medoids(pts, 1, seed=gen)
+    k_medoids(pts, 1, seed=gen)
     assert gen.bit_generator.state == before
+    part = _one_cluster(pts)
     sums = np.linalg.norm(pts[:, None] - pts[None, :], axis=2).sum(axis=1)
     assert part.medoids[0] == np.argmin(sums)
     assert part.cost_history[-1] == pytest.approx(sums.min(), abs=1e-9)
@@ -293,7 +335,7 @@ def test_k_equals_one_matches_brute_force_without_rng():
 
 def test_medoid_tie_goes_to_lowest_index():
     pts = np.array([[0.0], [0.0], [10.0]])
-    part = k_medoids(pts, 1)
+    part = _one_cluster(pts)
     assert part.medoids[0] == 0
 
 
@@ -327,7 +369,7 @@ def test_seed_determinism_and_cost_monotonicity():
 
 def test_weights_pull_the_medoid():
     pts = np.array([[0.0], [1.0], [10.0]])
-    part = k_medoids(pts, 1, weights=np.array([1.0, 1.0, 100.0]))
+    part = _one_cluster(pts, weights=np.array([1.0, 1.0, 100.0]))
     assert part.medoids[0] == 2
 
 
@@ -481,11 +523,14 @@ def _exact_case(kind: str):
 @pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
 def test_chunked_medoid_update_gives_the_same_partition(kind, monkeypatch):
     pts, spec = _exact_case(kind)
+
+    def partition(k):
+        return _one_cluster(pts, spec) if k == 1 else k_medoids(pts, k, spec, seed=3)
     for k in (1, 4, 15):
-        whole = k_medoids(pts, k, spec, seed=3)
+        whole = partition(k)
         # smaller than one s x s tensor of every group: forces row chunks
         monkeypatch.setattr(clustering, "_BATCH_LIMIT", 7)
-        chunked = k_medoids(pts, k, spec, seed=3)
+        chunked = partition(k)
         monkeypatch.undo()
         assert np.array_equal(chunked.assignment, whole.assignment)
         assert np.array_equal(chunked.medoids, whole.medoids)
@@ -536,10 +581,6 @@ def _full_recompute_work(points, k, spec, seed, max_iter, init, weights):
         mind[medoids] = 0.0
         return assignment, float(mind @ weights)
 
-    if k == 1:
-        medoids = clustering._medoid_update(handler, np.zeros(n, dtype=np.int64), 1, weights)
-        assignment, cost = assign(medoids)
-        return Partition(n, 1, assignment, medoids, [cost])
     if init is None:
         medoids = np.random.default_rng(seed).choice(n, size=k, replace=False).astype(np.int64)
     else:
@@ -626,7 +667,7 @@ def test_assignment_blocks_stay_within_the_batch_limit(kind, monkeypatch):
     pts, spec = _exact_case(kind)
     for k in (1, 4, 15, 70):
         shapes.clear()
-        part = k_medoids(pts, k, spec, seed=3)
+        part = _one_cluster(pts, spec) if k == 1 else k_medoids(pts, k, spec, seed=3)
         part.validate()
         assert shapes
         # one row at least, else no block past the limit: memory grows with
@@ -671,7 +712,7 @@ def test_assignment_requests_no_medoid_row(kind, monkeypatch):
     pts, spec = _assignment_case(kind)
     for k in (1, 7, 60, 100):
         calls.clear()
-        part = k_medoids(pts, k, spec, seed=2)
+        part = _one_cluster(pts, spec) if k == 1 else k_medoids(pts, k, spec, seed=2)
         part.validate()
         assert len(calls) > 1 or k == 1
         for medoids, blocks in calls:
@@ -799,7 +840,7 @@ def test_medoid_update_blocks_stay_within_the_batch_limit(kind, monkeypatch):
     pts, spec = _exact_case(kind)
     for k in (1, 4, 15, 70):
         blocks.clear()
-        part = k_medoids(pts, k, spec, seed=3)
+        part = _one_cluster(pts, spec) if k == 1 else k_medoids(pts, k, spec, seed=3)
         part.validate()
         assert blocks
         # (clusters, rows, s): one row of one cluster at least, else no block
@@ -1198,26 +1239,36 @@ def test_proxy_means_match_numpy_means():
 
 def test_proxy_sums_equal_add_at_sums():
     # bincount and np.add.at both add a cluster's rows in index order from
-    # 0.0, so the proxies must equal the add.at means bit for bit
+    # 0.0, so the proxies must equal the add.at means bit for bit; at k == n
+    # (in a permuted cluster order too) that mean is 0.0 + row, so -0.0
+    # becomes 0.0
     rng = np.random.default_rng(41)
     for n, d in ((1, 1), (50, 3), (2000, 42)):
         k = int(rng.integers(1, n + 1))
         feats = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 6, size=d)
+        feats[::3, 0] = -0.0
         outs = rng.normal(size=n) * 1e4
-        part = random_partition(n, k, seed=int(rng.integers(1 << 30)))
-        px, py, sizes = proxy_matrices(part, feats, outs)
-        sums = np.zeros((k, d))
-        np.add.at(sums, part.assignment, feats)
-        osums = np.zeros(k)
-        np.add.at(osums, part.assignment, outs)
-        counts = np.bincount(part.assignment).astype(float)
-        assert np.array_equal(px, sums / counts[:, None])
-        assert np.array_equal(py, osums / counts)
+        outs[::4] = -0.0
+        for part in (random_partition(n, k, seed=int(rng.integers(1 << 30))),
+                     Partition(n, n, rng.permutation(n))):
+            px, py, sizes = proxy_matrices(part, feats, outs)
+            sums = np.zeros((part.k, d))
+            np.add.at(sums, part.assignment, feats)
+            osums = np.zeros(part.k)
+            np.add.at(osums, part.assignment, outs)
+            counts = np.bincount(part.assignment).astype(float)
+            assert px.tobytes() == (sums / counts[:, None]).tobytes()
+            assert py.tobytes() == (osums / counts).tobytes()
 
 
 def test_proxy_row_count_mismatch():
     with pytest.raises(ValueError):
         proxy_matrices(Partition(3, 1, np.zeros(3, dtype=np.int64)), np.ones((2, 2)))
+    # one outcome per row, at k == n too, where a lone outcome would broadcast
+    for part in (Partition(3, 1, np.zeros(3, dtype=np.int64)), Partition(3, 3, np.arange(3))):
+        for outcomes in (np.ones(2), np.ones(1), np.ones((3, 1))):
+            with pytest.raises(ValueError, match="one value per row"):
+                proxy_matrices(part, np.ones((3, 2)), outcomes)
 
 
 def test_make_proxies_fields():

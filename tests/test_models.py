@@ -5,7 +5,9 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import mlp_gradients, sample_loss
+from conftest import mlp_gradients, mlp_update_rowwise, sample_loss
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxystream.models import (
     ColdStartError,
@@ -154,6 +156,48 @@ def test_mlp_update_steps_by_the_oracle_gradients():
                 for name in names:
                     assert (np.asarray(getattr(model, name)).tobytes()
                             == np.asarray(getattr(oracle, name)).tobytes()), (width, epochs, name)
+
+
+@st.composite
+def _mlp_cases(draw):
+    """A model and two update batches. Entries are signed powers of ten
+    between two drawn exponents in [-6, 6], with some set to 0.0 and some to
+    -0.0; the batches come from a drawn numpy seed so that 300 x 50 rows stay
+    cheap to draw."""
+    width, hidden = draw(st.integers(1, 50)), draw(st.integers(1, 32))
+    epochs, n = draw(st.integers(1, 3)), draw(st.integers(1, 300))
+    lr = draw(st.floats(1e-4, 0.5))
+    lo, hi = sorted(draw(st.tuples(st.floats(-6, 6), st.floats(-6, 6))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(lo, hi, shape)
+        kind = rng.integers(0, 8, shape)
+        v[kind == 0] = 0.0
+        v[kind == 1] = -0.0
+        return v
+    model = OnlineMLP(width, hidden=hidden, learning_rate=lr, epochs=epochs,
+                      seed=draw(st.integers(0, 2**16)))
+    x, y = values((n, width)), values(n)
+    m = draw(st.integers(1, n))
+    return model, [(x, y), (x[:m], y[:m])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mlp_cases())
+def test_mlp_update_has_the_bytes_of_the_rowwise_loop(case):
+    model, batches = case
+    oracle = copy.deepcopy(model)
+    # large rows saturate tanh and may overflow; both sides must do so alike
+    with np.errstate(all="ignore"):
+        for x, y in batches:
+            model.update(x, y)
+            mlp_update_rowwise(oracle, x, y)
+            for name in ("w_hidden", "b_hidden", "w_out"):
+                assert getattr(model, name).tobytes() == getattr(oracle, name).tobytes(), name
+            assert np.float64(model.b_out).tobytes() == np.float64(oracle.b_out).tobytes()
+            assert model._rng.bit_generator.state == oracle._rng.bit_generator.state
+            assert model.n_updates == oracle.n_updates
 
 
 def test_mlp_learns_a_simple_function():

@@ -13,7 +13,7 @@ from proxystream.clustering import BINNED, EUCLIDEAN, GOWER
 from proxystream.events import EventStore
 from proxystream.filtering import RIR_LABEL, VCI_LABEL
 from proxystream.encoding import weekly_spend
-from proxystream import pipeline
+from proxystream import pipeline, usecases
 from proxystream.metrics import (
     CLUSTER_RMSE,
     ENTITY_RMSE,
@@ -268,6 +268,35 @@ def test_prediction_artifacts_are_reused_for_next_training(monkeypatch):
     for prev, cur in zip(run.steps, run.steps[1:]):
         assert cur.reused_encoding
         assert (cur.n_train, cur.k_train) == (prev.n_pred, prev.k_pred)
+
+
+@pytest.mark.parametrize("rho", [1, "all", 10**6, 2], ids=["1", "all", "batch-within-rho", "2"])
+def test_line_fits_run_only_for_a_nontrivial_partition(rho, monkeypatch):
+    # k == n and k == 1 are known before any distance, so the partitioner
+    # gets an (n, 0) array and no line is fitted
+    store = _shopper_store(n=60, horizon=10, seed=8)
+    fitted, widths = [], []
+    linear_fit_batch, k_medoids = usecases.linear_fit_batch, pipeline.k_medoids
+
+    def counted_fit(tensors):
+        fitted.append(len(tensors))
+        return linear_fit_batch(tensors)
+
+    def counted_partition(points, *args, **kwargs):
+        widths.append(points.shape)
+        return k_medoids(points, *args, **kwargs)
+
+    monkeypatch.setattr(usecases, "linear_fit_batch", counted_fit)
+    monkeypatch.setattr(pipeline, "k_medoids", counted_partition)
+    run = run_stream(store, SupermarketUseCase(tau=3), rho, seed=1, steps=range(4, 10))
+    batches = [run.steps[0].n_train] + [s.n_pred for s in run.steps if s.n_pred]
+    assert len(widths) == len(batches) and min(batches) > 2
+    if rho == 2:
+        assert fitted == batches
+        assert all(width > 0 for _, width in widths)
+    else:
+        assert fitted == []
+        assert widths == [(n, 0) for n in batches]
 
 
 def test_invoice_pipeline_predicts_each_case_once_and_resolves_same_day():
