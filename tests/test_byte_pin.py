@@ -1,5 +1,5 @@
-"""Byte pin of the three supermarket benchmark workloads and of both trivial
-partitions at seed 0.
+"""Byte pin of the three supermarket benchmark workloads, of both trivial
+partitions and of one Gower-clustered paint factory stream at seed 0.
 
 The golden configs hold no cluster of more than 512 members, so they never
 reach the multi-tile medoid update; ``shop-rho1024`` sums clusters of up to
@@ -11,6 +11,12 @@ every prediction. The configs are written out here rather than imported, so
 that the pin does not move with the benchmark's own files. Two RLS cases pin
 the ends of the rho range, where the partition is known before any distance:
 rho 1 (every shopper its own cluster) and rho "all" (one cluster).
+
+The paint factory case clusters invoices under Gower's mixed-type
+dissimilarity at ``paint-csv-rho8``'s daily volume: 5 000 synthetic invoices
+over 10 days, 500 a day, rho 8 and ``max_iter`` 20. Its invoice clusters come
+in many sizes, most of them small, so it pins every bit of the Gower medoid
+update, which no supermarket case reaches.
 
 The hashes were recorded with numpy 2.4.6 on scipy-openblas 0.3.31; another
 BLAS build may round the Gram products differently and move them, as it
@@ -62,6 +68,14 @@ PINS = {
 }
 
 
+# sha256 of ledger.records bytes and of the int64 steps rows
+PAINT = (
+    {"use_case": "paint_factory", "rho": 8, "seed": 0, "max_iter": 20,
+     "generator": {"kind": "invoice", "n_entities": 5000, "horizon": 10, "seed": 0}},
+    "59dca11b41d712972caa5c82775d51bdd591e40c07eef2b77c9f90d91a180a26",
+    "9e0daae84e0a6fe83d3b89bea4efac2ffa0d50db6b8eb0a9c305158ee7233973")
+
+
 def _digests(cfg: dict) -> tuple[str, str]:
     result = execute_run(run_config_from_dict(cfg))
     steps = np.array([tuple(map(int, astuple(s))) for s in result.steps], dtype=np.int64)
@@ -72,4 +86,9 @@ def _digests(cfg: dict) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_supermarket_workload_keeps_its_bytes(name):
     cfg, records, steps = PINS[name]
+    assert _digests(cfg) == (records, steps)
+
+
+def test_gower_paint_workload_keeps_its_bytes():
+    cfg, records, steps = PAINT
     assert _digests(cfg) == (records, steps)
