@@ -32,13 +32,18 @@ points are medoids, round 1 computes half the rows.
 
 The medoid update is incremental too. Only clusters that gained or lost a
 point in the latest assignment are recomputed; every other cluster keeps its
-medoid, which is what a recompute over the same members would return. One
-kernel sums every cluster: its members' operand is gathered once and cut
-into slices of ``_BATCH_LIMIT // s`` members, s the cluster size, and the
-tiles on and above the diagonal of its s x s matrix are summed, since
-d(i, j) == d(j, i): each member pair is computed once. A cluster of at most 512 members at the
-default limit is one diagonal tile, its own ``cross(m, m)``, and clusters of
-that size are stacked up to the limit per block.
+medoid, which is what a recompute over the same members would return. Each
+member pair is computed once, since d(i, j) == d(j, i). A round lays out its
+clusters of at most 512 members (s * s <= ``_BATCH_LIMIT`` at the default
+limit) once, by size and then cluster index, in groups of one size stacked
+up to the limit per block, and the handler fills their s x s blocks in
+batches of at most the limit: Euclidean blocks are one ``cross(m, m)`` per
+group, whose shape fixes BLAS's bits; Gower blocks come from one elementwise
+pass over the member pairs i < j of every cluster in the batch, each value
+written to (i, j) and (j, i). Each group's sums are then ``d @ w`` over its
+(g, s, s) block. A larger cluster's operand is gathered once and cut into
+slices of ``_BATCH_LIMIT // s`` members, and the tiles on and above the
+diagonal of its s x s matrix are summed.
 
 Every kernel fixes its floating-point operations and their order, since a
 last-bit change can decide a tie. Euclidean values are the Gram expansion
@@ -56,10 +61,14 @@ kernels reach those values with few passes, and each shortcut is exact:
 - ``nx + nm`` is the K = 2 product ``[nx, 1] @ [1, nm]``, whose two products
   are by 1.0, so each entry is the one rounded sum;
 - Gower planes are added by one ``np.add.reduce`` over the plane axis, which
-  numpy does one plane at a time unless the block has one element, where it
-  would sum pairwise, so such a block is added in a loop;
-- a one-tile cluster's sums are its ``cross(m, m) @ w`` with no add to
-  zeros, and a one-member cluster keeps its member with no distance at all.
+  numpy does one plane at a time unless a plane has one element, where it
+  would sum pairwise, so a one-element block or a pair batch of one pair is
+  added in a loop; ``cross`` and the pair pass share that plane arithmetic;
+- a Gower pair pass gives the bits of ``cross(m, m)``: |a - b| == |b - a|,
+  mismatches are symmetric and d(i, i) is +0.0, so each value is written to
+  both of its entries of a zero-filled block;
+- a stacked cluster's sums are its block's ``d @ w`` with no add to zeros,
+  and a one-member cluster keeps its member with no distance at all.
 
 Block and tile shapes stay fixed: BLAS may round the same entry differently
 in products of other shapes, or at another row offset.
@@ -76,6 +85,7 @@ empty cost history.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -245,6 +255,14 @@ class _EuclideanHandler:
         np.maximum(d, 0.0, out=d)
         return np.sqrt(d, out=d)
 
+    def self_blocks(self, groups):
+        """The s x s blocks of each group of equal-size clusters, members
+        (g, s), as one ``cross(m, m)`` per group: the product's shape fixes
+        its bits."""
+        for members in groups:
+            taken = self.take(members)
+            yield self.cross(taken, taken)
+
 
 class _GowerHandler:
     """Mean per-dimension dissimilarity over included dimensions.
@@ -278,35 +296,77 @@ class _GowerHandler:
         """Members ``part`` of every cluster of an operand from :meth:`take`."""
         return tuple(planes[..., part] for planes in operand)
 
-    def cross(self, a, b) -> np.ndarray:
-        """Distances between two operands from :meth:`take`, broadcast over
-        leading axes.
+    def _distances(self, num_a, num_b, cat_a, cat_b, shape: tuple) -> np.ndarray:
+        """Gower values of the column operands, broadcast to ``shape``.
 
-        Each kept column fills one plane of the output's shape: the numeric
-        terms first, then the categorical mismatches as 0.0 or 1.0, each in
+        Each kept column fills one plane of ``shape``: the numeric terms
+        first, then the categorical mismatches as 0.0 or 1.0, each in
         ascending column order. The planes are added in that order to a sum
-        that starts at 0.0, the order of Gower's per-column mean.
-        ``np.add.reduce`` over the plane axis adds them one plane at a time
-        when a plane holds two or more elements; a one-element block is a
-        contiguous run, which numpy would sum pairwise, so it is added in a
-        loop.
+        that starts at 0.0, the order of Gower's per-column mean, and the sum
+        is divided by the column count. ``np.add.reduce`` over the plane axis
+        adds them one plane at a time when a plane holds two or more
+        elements; a one-element plane stack is a contiguous run, which numpy
+        would sum pairwise, so it is added in a loop.
         """
-        (num_a, cat_a), (num_b, cat_b) = a, b
         n = len(num_a)
-        planes = np.empty((n + len(cat_a), *num_a.shape[1:], num_b.shape[-1]))
+        planes = np.empty((n + len(cat_a), *shape))
         terms = planes[:n]
-        np.subtract(num_a[..., :, None], num_b[..., None, :], out=terms)
+        np.subtract(num_a, num_b, out=terms)
         np.abs(terms, out=terms)
-        terms /= self.ranges.reshape(-1, *(1,) * (terms.ndim - 1))
-        np.not_equal(cat_a[..., :, None], cat_b[..., None, :], out=planes[n:])
-        if np.prod(planes.shape[1:]) == 1:
-            out = np.zeros(planes.shape[1:])
+        terms /= self.ranges.reshape(-1, *(1,) * len(shape))
+        np.not_equal(cat_a, cat_b, out=planes[n:])
+        if math.prod(shape) == 1:
+            out = np.zeros(shape)
             for plane in planes:
                 out += plane
         else:
             out = np.add.reduce(planes, axis=0)
         out /= self.denom
         return out
+
+    def cross(self, a, b) -> np.ndarray:
+        """Distances between two operands from :meth:`take`, broadcast over
+        leading axes: every row of ``a`` against every row of ``b``."""
+        (num_a, cat_a), (num_b, cat_b) = a, b
+        return self._distances(num_a[..., :, None], num_b[..., None, :],
+                               cat_a[..., :, None], cat_b[..., None, :],
+                               (*num_a.shape[1:], num_b.shape[-1]))
+
+    def self_blocks(self, groups):
+        """The s x s blocks of each group of equal-size clusters, members
+        (g, s), as views of one buffer, from one elementwise pass over the
+        member pairs i < j of every cluster.
+
+        Each value is written to (i, j) and (j, i) of a zero-filled buffer:
+        |a - b| == |b - a| and the mismatches are symmetric, so d(i, j) ==
+        d(j, i), and d(i, i) is +0.0, bit for bit as in ``cross(m, m)``.
+        """
+        g = np.array([m.shape[0] for m in groups])
+        s = np.array([m.shape[1] for m in groups])
+        members = np.concatenate([m.ravel() for m in groups])
+        per_group, area = g * s, g * s * s
+        ends = np.cumsum(area)
+        # per member: its cluster's size, its row in the cluster, and the
+        # offset of the cluster's block in the buffer
+        size = np.repeat(s, per_group)
+        local = np.arange(len(members)) - np.repeat(np.cumsum(per_group) - per_group, per_group)
+        row = local % size
+        diagonal = np.repeat(ends - area, per_group) + (local - row) * size + row * (size + 1)
+        # row i pairs with rows i + 1 .. s - 1 of its cluster
+        after = size - 1 - row
+        left = np.repeat(np.arange(len(members)), after)
+        step = np.arange(len(left)) - np.repeat(np.cumsum(after) - after, after) + 1
+        right = members[left + step]
+        left_at = members[left]
+        values = self._distances(self.num.take(left_at, axis=1), self.num.take(right, axis=1),
+                                 self.cat.take(left_at, axis=1), self.cat.take(right, axis=1),
+                                 (len(left),))
+        out = np.zeros(int(ends[-1]))
+        at = diagonal[left]
+        out[at + step] = values
+        out[at + step * size[left]] = values
+        return [out[end - a:end].reshape(k, t, t)
+                for end, a, k, t in zip(ends.tolist(), area.tolist(), g.tolist(), s.tolist())]
 
     def assigner(self, medoids: np.ndarray):
         """Distances from the points at ``rows`` to the medoids, as a function
@@ -327,14 +387,18 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
 
     Only the clusters flagged in the boolean mask ``dirty`` are recomputed;
     every other cluster keeps its entry of ``medoids``. Without a mask every
-    cluster is recomputed.
+    cluster is recomputed. Ties go to the lowest member index.
 
-    Block shapes depend on the cluster size s alone, never on how many
+    A one-member cluster keeps its member. The clusters whose s x s block
+    fits ``_BATCH_LIMIT`` are laid out once, ordered by (size, cluster
+    index), in groups of one size of at most ``_BATCH_LIMIT // (s * s)``
+    clusters; the handler fills the groups' blocks in batches of at most
+    ``_BATCH_LIMIT`` elements, and each group's sums are ``d @ w`` over its
+    (g, s, s) block. Larger clusters are summed one at a time by
+    :func:`_tiled_sums` in slices of ``_BATCH_LIMIT // s`` members (one at
+    least). Block shapes depend on the cluster size alone, never on how many
     clusters share it, so a cluster's medoid is the same bits whichever
-    clusters are recomputed with it. Clusters of one size are summed by
-    :func:`_tiled_sums` in groups of ``_BATCH_LIMIT // (s * s)`` (one at
-    least), in slices of ``_BATCH_LIMIT // s`` members (one at least). Ties
-    go to the lowest member index.
+    clusters are recomputed with it.
     """
     sizes = np.bincount(assignment, minlength=k)
     if (sizes == 0).any():
@@ -346,39 +410,60 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
     order = listed[np.argsort(assignment[listed], kind="stable")]
     todo = np.where(dirty, sizes, 0)
     starts = np.cumsum(todo) - todo
-    for s in np.unique(todo[todo > 0]):
-        clusters = np.nonzero(todo == s)[0]
-        if s == 1:
-            # a one-member cluster keeps its member, with no distance to sum
-            new[clusters] = order[starts[clusters]]
-            continue
-        per_block = max(1, _BATCH_LIMIT // (s * s))
-        step = max(1, _BATCH_LIMIT // s)
-        for first in range(0, len(clusters), per_block):
-            group = clusters[first:first + per_block]
-            members = order[starts[group][:, None] + np.arange(s)]
-            sums = _tiled_sums(handler, members, weights[members][..., None], step)
-            new[group] = members[np.arange(len(group)), np.argmin(sums, axis=1)]
+    # a one-member cluster keeps its member, with no distance to sum
+    ones = np.nonzero(todo == 1)[0]
+    new[ones] = order[starts[ones]]
+    for c in np.nonzero(todo * todo > _BATCH_LIMIT)[0]:
+        members = order[starts[c]:starts[c] + todo[c]][None]
+        sums = _tiled_sums(handler, members, weights[members][..., None],
+                           max(1, _BATCH_LIMIT // todo[c]))
+        new[c] = members[0, np.argmin(sums[0])]
+    stacked = np.nonzero((todo > 1) & (todo * todo <= _BATCH_LIMIT))[0]
+    if not len(stacked):
+        return new
+    stacked = stacked[np.argsort(todo[stacked], kind="stable")]
+    # the stacked clusters' members, cluster after cluster, and the row of
+    # each cluster's first member in that layout
+    size = todo[stacked]
+    first = np.cumsum(size) - size
+    laid = order[np.arange(size.sum()) - np.repeat(first - starts[stacked], size)]
+    # groups of one size as (first cluster, clusters, size), in batches of at
+    # most _BATCH_LIMIT block elements
+    batches, used = [[]], 0
+    runs = (np.flatnonzero(np.diff(size)) + 1).tolist()
+    for lo, hi in zip([0, *runs], [*runs, len(size)]):
+        s = int(size[lo])
+        per_block = _BATCH_LIMIT // (s * s)
+        for c in range(lo, hi, per_block):
+            g = min(per_block, hi - c)
+            if used + g * s * s > _BATCH_LIMIT:
+                batches.append([])
+                used = 0
+            batches[-1].append((c, g, s))
+            used += g * s * s
+    picks = np.empty(len(stacked), dtype=np.intp)
+    for batch in batches:
+        groups = [laid[first[c]:first[c] + g * s].reshape(g, s) for c, g, s in batch]
+        for (c, g, _), members, d in zip(batch, groups, handler.self_blocks(groups)):
+            sums = (d @ weights[members][..., None])[..., 0]
+            sums.argmin(axis=1, out=picks[c:c + g])
+    new[stacked] = laid[first + picks]
     return new
 
 
 def _tiled_sums(handler, members: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
     """Weighted distance sums of a group of equal-size clusters, ``members``
     of shape (g, s), from the tiles on and above the diagonal of each
-    cluster's s x s matrix.
+    cluster's s x s matrix, for ``step < s``.
 
     The group's operand is taken once and its tiles are slices of it, cut
     every ``step`` members. A diagonal tile is ``cross(m_i, m_i)``, one
     operand for BLAS's symmetric path; an off-diagonal tile
     ``cross(m_i, m_j)`` adds its row sums to slice i and its column sums to
-    slice j, as d(i, j) == d(j, i). Each member pair is computed once. When
-    ``step >= s`` the one tile's ``cross(m, m) @ w`` is the result: adding
-    it to zeros would keep its bits, as distance sums are never negative.
+    slice j, as d(i, j) == d(j, i). Each member pair is computed once.
     """
     s = members.shape[1]
     taken = handler.take(members)
-    if step >= s:
-        return (handler.cross(taken, taken) @ w)[..., 0]
     sums = np.zeros(members.shape)
     for i in range(0, s, step):
         rows = handler.tile(taken, slice(i, i + step))
@@ -405,12 +490,16 @@ def _handler(points: np.ndarray, spec: DistanceSpec):
 def cross_distances(x: np.ndarray, y: np.ndarray, spec: DistanceSpec | None = None) -> np.ndarray:
     """True distance matrix between two row sets under ``spec``.
 
-    Bin edges and Gower ranges come from the stacked rows of both sets.
+    Bin edges and Gower ranges come from the stacked rows of both sets, so
+    every value must be finite: one NaN would void a column's range for
+    every row.
     """
     spec = spec or euclidean_spec()
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     stacked = np.vstack([x, y])
+    if not np.isfinite(stacked).all():
+        raise ValueError("points must be finite")
     if spec.kind == BINNED:
         stacked = bin_centers(stacked, spec.n_bins)
     handler = _handler(stacked, spec)
@@ -504,11 +593,11 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     ``max_iter`` rounds; the recorded cost history (weighted sum of true
     member-to-medoid distances) is non-increasing.
 
-    For the binned kind, bin edges come from ``points``, and points sharing a
-    bin-center representative are collapsed into one weighted point first;
-    distances and costs are then measured between representatives. If fewer
-    distinct representatives than k exist, the uncollapsed
-    representative-valued points are clustered instead.
+    Every point must be finite. For the binned kind, bin edges come from
+    ``points``, and points sharing a bin-center representative are collapsed
+    into one weighted point first; distances and costs are then measured
+    between representatives. If fewer distinct representatives than k exist,
+    the uncollapsed representative-valued points are clustered instead.
 
     The trivial partitions compute no distance and draw nothing from the
     RNG, for every distance kind, so their ``points`` may have no columns.
@@ -520,6 +609,8 @@ def k_medoids(points: np.ndarray, k: int, spec: DistanceSpec | None = None, *,
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2d array")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     n = len(points)
     check_int("k", k, 1)
     if k > n:

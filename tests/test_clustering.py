@@ -392,6 +392,27 @@ def test_k_medoids_validates_arguments():
             k_medoids(pts, 2, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("spec", [euclidean_spec(), binned_spec(4),
+                                  gower_spec([False, False, True])],
+                         ids=["euclidean", "binned", "gower"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(spec, bad):
+    # one bad cell would make a partition's cost nan (Euclidean, binned) or
+    # void a Gower column's range for every row
+    rng = np.random.default_rng(4)
+    pts = np.column_stack([rng.normal(size=(30, 2)), rng.integers(0, 3, 30)])
+    k_medoids(pts, 5, spec, seed=0).validate()
+    pts[7, 1] = bad
+    for k in (1, 5, 30):
+        with pytest.raises(ValueError, match="finite"):
+            k_medoids(pts, k, spec, seed=0)
+    clean = np.delete(pts, 7, axis=0)
+    cross_distances(clean[:3], clean[3:6], spec)
+    for x, y in ((pts[6:9], clean[:3]), (clean[:3], pts[5:9])):
+        with pytest.raises(ValueError, match="finite"):
+            cross_distances(x, y, spec)
+
+
 def test_binned_collapse_groups_identical_points():
     rng = np.random.default_rng(3)
     values = rng.integers(0, 5, 100).astype(float)[:, None]
@@ -809,9 +830,13 @@ def test_empty_kept_rows_match_the_oracle(monkeypatch):
     assert sizes == [0, 1, 0, 1]
 
 
-def _record_cross(monkeypatch, blocks):
-    """Append (shape, rows is cols) for every ``cross`` block made inside
-    ``_medoid_update`` (Gower assignment calls ``cross`` too)."""
+def _record_cross(monkeypatch, blocks, batches=None):
+    """Append (shape, rows is cols) for every distance block made inside
+    ``_medoid_update`` (Gower assignment calls ``cross`` too): each ``cross``
+    tile, and each (g, s, s) block that a handler's ``self_blocks`` returns,
+    as (shape, True). With ``batches``, append per ``self_blocks`` call its
+    blocks' shapes and the element count of Gower's pair pass (None for
+    Euclidean blocks, which are ``cross`` products)."""
     inside = []
     update = clustering._medoid_update
 
@@ -822,24 +847,47 @@ def _record_cross(monkeypatch, blocks):
         finally:
             inside.pop()
     monkeypatch.setattr(clustering, "_medoid_update", tracked_update)
+    pairs = []
+    distances = clustering._GowerHandler._distances
+
+    def record_pairs(self, *args):
+        if inside and not inside[-1]:
+            pairs.append(int(np.prod(args[-1])))
+        return distances(self, *args)
+    monkeypatch.setattr(clustering._GowerHandler, "_distances", record_pairs)
     for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
         def record(self, rows, cols, _orig=cls.cross):
             block = _orig(self, rows, cols)
-            if inside:
+            if inside and inside[-1]:
                 blocks.append((block.shape, rows is cols))
             return block
+
+        def record_blocks(self, groups, _orig=cls.self_blocks):
+            # cross calls that make these blocks are not recorded twice
+            inside.append(False)
+            try:
+                made = list(_orig(self, groups))
+            finally:
+                inside.pop()
+            blocks.extend((d.shape, True) for d in made)
+            if batches is not None:
+                batches.append(([d.shape for d in made], sum(pairs) if pairs else None))
+            pairs.clear()
+            return made
         monkeypatch.setattr(cls, "cross", record)
+        monkeypatch.setattr(cls, "self_blocks", record_blocks)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "binned", "gower"])
 def test_medoid_update_blocks_stay_within_the_batch_limit(kind, monkeypatch):
     limit = 50
-    blocks = []
-    _record_cross(monkeypatch, blocks)
+    blocks, batches = [], []
+    _record_cross(monkeypatch, blocks, batches)
     monkeypatch.setattr(clustering, "_BATCH_LIMIT", limit)
     pts, spec = _exact_case(kind)
     for k in (1, 4, 15, 70):
         blocks.clear()
+        batches.clear()
         part = _one_cluster(pts, spec) if k == 1 else k_medoids(pts, k, spec, seed=3)
         part.validate()
         assert blocks
@@ -848,6 +896,14 @@ def test_medoid_update_blocks_stay_within_the_batch_limit(kind, monkeypatch):
         assert all(g * r * s <= max(limit, s) for (g, r, s), _ in blocks), blocks
         if k == 1:
             assert max(r for (_, r, _), _ in blocks) < part.n_points
+        # a batch of stacked blocks holds at most the limit's elements, and
+        # Gower's pair pass computes each member pair i < j of it once
+        for shapes, pairs in batches:
+            assert sum(g * s * s for g, s, _ in shapes) <= limit
+            assert pairs == (sum(g * s * (s - 1) // 2 for g, s, _ in shapes)
+                             if kind == "gower" else None)
+        if k == 70:
+            assert batches
 
 
 def test_medoid_update_of_clean_clusters_computes_nothing(monkeypatch):
@@ -904,27 +960,26 @@ def test_tiled_medoid_update_matches_the_oracle(kind, monkeypatch):
         assert len(blocks) == len(slices) * (len(slices) + 1) // 2
         assert (sorted(shape for shape, same in blocks if same)
                 == sorted((1, b, b) for b in slices))
-    # a cluster with s * s <= limit is one diagonal tile, in groups of
-    # limit // (s * s) clusters of its size: the sums of its own cross(m, m) @ w
+    # a cluster with s * s <= limit is one s x s block, in groups of
+    # limit // (s * s) clusters of its size: the bits of its own cross(m, m)
     sizes = [2] * 10 + [4] * 10 + [5] * 12
     k = len(sizes)
     assignment = rng.permutation(np.repeat(np.arange(k), sizes))
     want = _oracle_medoids(pts, assignment, k, weights, spec)
     calls = []
-    tiled = clustering._tiled_sums
-
-    def record(h, members, w, step):
-        sums = tiled(h, members, w, step)
-        calls.append((members, w, sums))
-        return sums
-    monkeypatch.setattr(clustering, "_tiled_sums", record)
+    for cls in (clustering._EuclideanHandler, clustering._GowerHandler):
+        def record(self, groups, _orig=cls.self_blocks):
+            made = list(_orig(self, groups))
+            calls.extend(zip(groups, made))
+            return made
+        monkeypatch.setattr(cls, "self_blocks", record)
     blocks.clear()
     assert np.array_equal(clustering._medoid_update(handler, assignment, k, weights), want)
-    assert sorted(m.shape for m, _, _ in calls) == [(4, 4), (4, 5), (4, 5), (4, 5), (6, 4), (10, 2)]
-    assert len(blocks) == len(calls)
-    for (shape, same), (members, w, sums) in zip(blocks, calls):
-        assert same and shape == (*members.shape, members.shape[1])
-        assert np.array_equal(sums, (_cross(handler, members, members) @ w)[..., 0])
+    assert sorted(m.shape for m, _ in calls) == [(4, 4), (4, 5), (4, 5), (4, 5), (6, 4), (10, 2)]
+    assert len(blocks) == len(calls) and all(same for _, same in blocks)
+    for members, d in calls:
+        assert d.shape == (*members.shape, members.shape[1])
+        assert d.tobytes() == _cross(handler, members, members).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "gower"])
@@ -1108,6 +1163,61 @@ def test_gower_one_element_block_adds_its_planes_in_column_order():
                                 (cat_a != cat_b).ravel().astype(float)])
         pairwise_differs += np.add.reduce(terms) / handler.denom != got.item()
     assert pairwise_differs
+
+
+@st.composite
+def _gower_clusters(draw):
+    """Real-valued mixed points with 8 to 12 kept numeric columns and 0 to 4
+    categorical ones, split into clusters of 1 to 40 members, at least 11 of
+    them 2-member clusters; positive real weights."""
+    n_num, n_cat = draw(st.integers(8, 12)), draw(st.integers(0, 4))
+    sizes = [2] * draw(st.integers(11, 30)) + draw(st.lists(st.integers(1, 40), max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    pts = np.column_stack([rng.normal(size=(n, n_num)) * 10.0, rng.integers(0, 3, (n, n_cat))])
+    mask = np.array([False] * n_num + [True] * n_cat)
+    assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return pts, mask, assignment, len(sizes), rng.uniform(0.5, 2.0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_gower_clusters())
+def test_gower_pair_pass_has_the_bits_of_each_clusters_own_cross(case):
+    # every s x s block from the pair pass must be its cluster group's own
+    # cross(m, m), bit for bit. At a limit of 40 the 2-member clusters come in
+    # groups of 10, one per batch, so batches split between groups of one
+    # size, and later batches hold groups of several sizes; at 5 every
+    # 2-member cluster is a batch holding exactly one pair, a one-element
+    # plane stack that numpy would sum pairwise
+    pts, mask, assignment, k, weights = case
+    handler = clustering._handler(pts, gower_spec(mask))
+    assert len(handler.num) >= 8
+    produce = clustering._GowerHandler.self_blocks
+    for limit in (40, 5):
+        made = []
+
+        def record(self, groups):
+            blocks = produce(self, groups)
+            made.append(list(zip(groups, blocks)))
+            return blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering._GowerHandler, "self_blocks", record)
+            mp.setattr(clustering, "_BATCH_LIMIT", limit)
+            got = clustering._medoid_update(handler, assignment, k, weights)
+        for c in range(k):
+            members = np.nonzero(assignment == c)[0]
+            own = _cross(handler, members, members)
+            assert got[c] == members[np.argmin(own @ weights[members])]
+        assert made and all(sum(d.size for _, d in batch) <= limit for batch in made)
+        shapes = [[d.shape for _, d in batch] for batch in made]
+        pairs = (np.bincount(assignment) == 2).sum()
+        if limit == 5:
+            assert shapes.count([(1, 2, 2)]) == pairs
+        else:
+            assert shapes[0] == [(10, 2, 2)] and shapes[1][0] == (min(10, pairs - 10), 2, 2)
+        for batch in made:
+            for members, d in batch:
+                assert d.tobytes() == _cross(handler, members, members).tobytes()
 
 
 def test_one_member_cluster_keeps_its_member_without_a_distance(monkeypatch):
