@@ -107,7 +107,9 @@ _KINDS = (EUCLIDEAN, BINNED, GOWER)
 # was 2% and 17% slower, 2^19 18% and 4%, and 2^21 3% and 23%, which gave
 # back 38% of the shop-rho1024 gain over 30 M-element (240 MB) blocks.
 # Gower's scratch space is (kept columns) x (block) elements, one plane per
-# column: 14 columns at the limit are 3.7 M values, 28 MiB.
+# column: 14 columns at the limit are 3.7 M values, 28 MiB. A medoid-update
+# batch at the limit holds under limit / 2 member pairs, whose planes and two
+# gathered operands are three values per column and pair: 42 MiB at 14.
 _BATCH_LIMIT = 1 << 18
 
 
@@ -427,8 +429,8 @@ def _medoid_update(handler, assignment: np.ndarray, k: int, weights: np.ndarray,
     size = todo[stacked]
     first = np.cumsum(size) - size
     laid = order[np.arange(size.sum()) - np.repeat(first - starts[stacked], size)]
-    # groups of one size as (first cluster, clusters, size), in batches of at
-    # most _BATCH_LIMIT block elements
+    # groups of one size as (position of the first cluster in ``stacked``,
+    # clusters, size), in batches of at most _BATCH_LIMIT block elements
     batches, used = [[]], 0
     runs = (np.flatnonzero(np.diff(size)) + 1).tolist()
     for lo, hi in zip([0, *runs], [*runs, len(size)]):

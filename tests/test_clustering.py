@@ -1186,7 +1186,7 @@ def test_gower_pair_pass_has_the_bits_of_each_clusters_own_cross(case):
     # every s x s block from the pair pass must be its cluster group's own
     # cross(m, m), bit for bit. At a limit of 40 the 2-member clusters come in
     # groups of 10, one per batch, so batches split between groups of one
-    # size, and later batches hold groups of several sizes; at 5 every
+    # size, and later batches may hold groups of several sizes; at 5 every
     # 2-member cluster is a batch holding exactly one pair, a one-element
     # plane stack that numpy would sum pairwise
     pts, mask, assignment, k, weights = case
@@ -1210,11 +1210,11 @@ def test_gower_pair_pass_has_the_bits_of_each_clusters_own_cross(case):
             assert got[c] == members[np.argmin(own @ weights[members])]
         assert made and all(sum(d.size for _, d in batch) <= limit for batch in made)
         shapes = [[d.shape for _, d in batch] for batch in made]
-        pairs = (np.bincount(assignment) == 2).sum()
+        twos = (np.bincount(assignment) == 2).sum()
         if limit == 5:
-            assert shapes.count([(1, 2, 2)]) == pairs
+            assert shapes.count([(1, 2, 2)]) == twos
         else:
-            assert shapes[0] == [(10, 2, 2)] and shapes[1][0] == (min(10, pairs - 10), 2, 2)
+            assert shapes[0] == [(10, 2, 2)] and shapes[1][0] == (min(10, twos - 10), 2, 2)
         for batch in made:
             for members, d in batch:
                 assert d.tobytes() == _cross(handler, members, members).tobytes()
